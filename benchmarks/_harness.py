@@ -8,8 +8,8 @@ pytest's output capturing.  EXPERIMENTS.md records the reference outputs.
 module's test functions directly (a stub stands in for the pytest-benchmark
 fixture) and — unlike the old behavior of importing modules that define
 but never execute their checks — **exits non-zero when any benchmark's
-internal verification fails**, so CI cannot mistake a broken claim table
-for a regenerated one.
+internal verification fails** (1) or a pattern matches no module (2), so CI
+cannot mistake a broken claim table, or a typo, for a regenerated one.
 
 ``--jobs N`` shards bench *modules* across worker processes (``0`` means
 one per CPU).  Each module's output is captured in the worker and printed
@@ -116,10 +116,13 @@ def _pool_worker(path_str: str) -> tuple[int, str]:
     return failed, out.getvalue()
 
 
+def _bench_paths() -> list[Path]:
+    return sorted(Path(__file__).parent.glob("bench_*.py"))
+
+
 def run_benchmarks(patterns: list[str] | None = None, jobs: int = 1) -> int:
     """Run bench modules' verifications; return the number of failures."""
-    bench_dir = Path(__file__).parent
-    paths = sorted(bench_dir.glob("bench_*.py"))
+    paths = _bench_paths()
     if patterns:
         paths = [p for p in paths if any(pat in p.stem for pat in patterns)]
     if jobs <= 0:
@@ -155,6 +158,15 @@ def main(argv: list[str] | None = None) -> int:
         help="run bench modules across N worker processes (0 = one per CPU)",
     )
     args = parser.parse_args(list(argv if argv is not None else sys.argv[1:]))
+    stems = [path.stem for path in _bench_paths()]
+    for pattern in args.patterns:
+        if not any(pattern in stem for stem in stems):
+            # A typo must not pass CI by selecting (and verifying) nothing.
+            print(
+                f"error: pattern {pattern!r} matches no bench module",
+                file=sys.stderr,
+            )
+            return 2
     failures = run_benchmarks(args.patterns, jobs=args.jobs)
     return 1 if failures else 0
 

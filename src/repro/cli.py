@@ -981,15 +981,18 @@ def _build_stats_parser(subparsers) -> None:
 
 
 def cmd_stats(args) -> int:
-    from repro.fuzz.generator import GeneratorProfile, generate
+    from repro.fuzz.generator import (
+        GeneratorProfile,
+        generate,
+        sharded_profile,
+    )
     from repro.obs import prometheus_text
 
     profile = GeneratorProfile.smoke() if args.smoke else None
     if args.shards > 1:
         from repro.shard import run_sharded_cell
 
-        profile = (profile or GeneratorProfile()).grouped(args.shards)
-        spec = generate(args.seed, profile)
+        spec = generate(args.seed, sharded_profile(profile, args.shards))
         result = run_sharded_cell(spec, args.protocol, args.shards)
         # Numeric samples are already summed across the per-shard
         # registries; the flattened keys keep exposition sample syntax.
@@ -1321,12 +1324,14 @@ def _build_shard_parser(subparsers) -> None:
 
 
 def cmd_shard(args) -> int:
-    from repro.fuzz.generator import GeneratorProfile, generate
+    from repro.fuzz.generator import (
+        GeneratorProfile,
+        generate,
+        sharded_profile,
+    )
 
-    profile = GeneratorProfile.smoke() if args.smoke else GeneratorProfile()
-    if args.shards > 1:
-        profile = profile.grouped(args.shards)
-    spec = generate(args.seed, profile)
+    profile = GeneratorProfile.smoke() if args.smoke else None
+    spec = generate(args.seed, sharded_profile(profile, args.shards))
 
     if args.recover:
         from repro.shard import resolve_segments

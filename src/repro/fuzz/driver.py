@@ -28,6 +28,7 @@ from repro.fuzz.generator import (
     WorkloadSpec,
     build_workload,
     generate,
+    sharded_profile,
 )
 from repro.fuzz.oracle import (
     Ablation,
@@ -227,66 +228,6 @@ def _cell_ablation_for(
     return ablation
 
 
-def _sharded_profile(
-    profile: GeneratorProfile | None, shards: int
-) -> GeneratorProfile:
-    """The grouped workload profile a sharded campaign fuzzes with.
-
-    One object group per shard keeps the partitioner honest (every group
-    becomes its own call component) while ``p_cross_group`` makes a steady
-    fraction of transactions span shards — the 2PC/Def 16 surface under
-    test.  A profile that is already grouped is taken as-is.
-    """
-    profile = profile or GeneratorProfile()
-    if profile.groups > 1:
-        return profile
-    return profile.grouped(shards)
-
-
-def run_sharded_seed_cells(
-    seed: int,
-    *,
-    shards: int,
-    protocols: tuple[str, ...] = FUZZ_PROTOCOLS,
-    profile: GeneratorProfile | None = None,
-    ablation: Ablation | None = None,
-    ablate_first_leaf: bool = False,
-) -> list[CellOutcome]:
-    """The per-seed worker of a ``--shards N`` campaign.
-
-    Each cell runs the full sharded runtime — static partition, per-shard
-    executors, 2PC through the coordinator — and is judged by the composed
-    oracle (per-shard Def 10-14 replay plus the global Def 15/16 union,
-    plus atomicity), so a violation here means the *distributed* protocol
-    let a non-oo-serializable history commit.  Deterministic in ``seed``
-    exactly like :func:`run_seed_cells`.
-    """
-    from repro.shard.runtime import run_sharded_cell
-
-    spec = generate(seed, _sharded_profile(profile, shards))
-    cell_ablation = _cell_ablation_for(spec, ablation, ablate_first_leaf)
-    cells: list[CellOutcome] = []
-    for protocol in protocols:
-        try:
-            result = run_sharded_cell(
-                spec, protocol, shards, ablation=cell_ablation
-            )
-        except ReproError as exc:
-            cells.append(CellOutcome(protocol=protocol, error=repr(exc)))
-            continue
-        cells.append(
-            CellOutcome(
-                protocol=protocol,
-                committed=len(result.committed),
-                gave_up=len(result.gave_up),
-                restarts=sum(s.restarts for s in result.summaries),
-                oo_only=result.report.oo_only,
-                report=result.report,
-            )
-        )
-    return cells
-
-
 def run_seed_cells(
     seed: int,
     *,
@@ -296,12 +237,20 @@ def run_seed_cells(
     ablate_first_leaf: bool = False,
     trace_dir: str | None = None,
     certify: bool = False,
+    shards: int = 1,
 ) -> list[CellOutcome]:
     """The per-seed campaign worker: one seed under every protocol.
 
     Fully deterministic in ``seed`` (the workload, the interleaving and the
     oracle verdict all derive from it), which is what makes sharding seeds
     across processes safe.
+
+    ``shards > 1`` runs each cell on the full sharded runtime — static
+    partition, per-shard executors, 2PC through the coordinator — judged by
+    the composed oracle (per-shard Def 10-14 replay plus the global
+    Def 15/16 union, plus atomicity), so a violation there means the
+    *distributed* protocol let a non-oo-serializable history commit.
+    ``trace_dir`` and ``certify`` apply to single-core cells only.
 
     ``trace_dir`` attaches a span tracer to every cell and dumps the Chrome
     trace of any *interesting* one — an oracle violation, a transaction
@@ -311,23 +260,31 @@ def run_seed_cells(
     report (and its accounting) is unchanged; when ``trace_dir`` is None no
     subscriber ever attaches and the bus keeps its zero-cost path.
     """
-    spec = generate(seed, profile)
+    spec = generate(seed, sharded_profile(profile, shards))
     cell_ablation = _cell_ablation_for(spec, ablation, ablate_first_leaf)
     cells: list[CellOutcome] = []
     for protocol in protocols:
         tracer = None
         bus = None
-        if trace_dir is not None:
+        if trace_dir is not None and shards <= 1:
             from repro.obs.events import EventBus
             from repro.obs.tracing import SpanTracer
 
             bus = EventBus()
             tracer = SpanTracer(bus)
         try:
-            result, report = run_cell(
-                spec, protocol, ablation=cell_ablation, bus=bus,
-                certify=certify,
-            )
+            if shards > 1:
+                from repro.shard.runtime import run_sharded_cell
+
+                result = run_sharded_cell(
+                    spec, protocol, shards, ablation=cell_ablation
+                )
+                report = result.report
+            else:
+                result, report = run_cell(
+                    spec, protocol, ablation=cell_ablation, bus=bus,
+                    certify=certify,
+                )
         except ReproError as exc:
             cells.append(CellOutcome(protocol=protocol, error=repr(exc)))
             if tracer is not None:
@@ -443,28 +400,19 @@ def run_campaign(
         tallies={p: ProtocolTally(protocol=p) for p in protocols},
         shards=shards,
     )
-    if shards > 1:
-        # Normalized here too so _fold_seed regenerates violation specs
-        # with the exact profile the workers fuzzed (idempotent).
-        profile = _sharded_profile(profile, shards)
-        worker = functools.partial(
-            run_sharded_seed_cells,
-            shards=shards,
-            protocols=tuple(protocols),
-            profile=profile,
-            ablation=ablation,
-            ablate_first_leaf=ablate_first_leaf,
-        )
-    else:
-        worker = functools.partial(
-            run_seed_cells,
-            protocols=tuple(protocols),
-            profile=profile,
-            ablation=ablation,
-            ablate_first_leaf=ablate_first_leaf,
-            trace_dir=trace_dir,
-            certify=certify,
-        )
+    # Normalized here too so _fold_seed regenerates violation specs with
+    # the exact profile the workers fuzzed (idempotent).
+    profile = sharded_profile(profile, shards)
+    worker = functools.partial(
+        run_seed_cells,
+        protocols=tuple(protocols),
+        profile=profile,
+        ablation=ablation,
+        ablate_first_leaf=ablate_first_leaf,
+        trace_dir=trace_dir,
+        certify=certify,
+        shards=shards,
+    )
     for seed, cells in iter_seed_results(worker, seeds, jobs):
         stopped = _fold_seed(
             campaign,

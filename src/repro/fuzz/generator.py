@@ -44,7 +44,7 @@ from repro.core.commutativity import CommutativitySpec
 from repro.oodb.database import ObjectDatabase
 from repro.oodb.method import dbmethod
 from repro.oodb.object_model import DatabaseObject
-from repro.runtime.program import TransactionProgram
+from repro.runtime.program import TransactionProgram, program_from_ops
 
 #: matrix entry kinds, in the order the generator draws them
 ENTRY_KINDS = ("commute", "conflict", "diff-key", "lt-key", "state-low")
@@ -369,6 +369,23 @@ class GeneratorProfile:
             p_self_call=0.0,
             p_up_call=0.0,
         )
+
+
+def sharded_profile(
+    profile: GeneratorProfile | None, shards: int
+) -> GeneratorProfile:
+    """The workload profile a run over ``shards`` shards generates with.
+
+    One object group per shard keeps the partitioner honest (every group
+    becomes its own call component, so the hosted objects actually spread
+    over the shards) while ``p_cross_group`` makes a steady fraction of
+    transactions span shards — the 2PC/Def 16 surface under test.  A
+    profile that is already grouped, or a single shard, is taken as-is.
+    """
+    profile = profile or GeneratorProfile()
+    if shards <= 1 or profile.groups > 1:
+        return profile
+    return profile.grouped(shards)
 
 
 def generate(seed: int, profile: GeneratorProfile | None = None) -> WorkloadSpec:
@@ -696,17 +713,8 @@ def make_object_class(spec: ObjectSpec, key_space: int) -> type[FuzzObjectBase]:
 
 def build_program(pspec: ProgramSpec, kind: str = "fuzz") -> TransactionProgram:
     """Compile one program spec into an executable transaction program."""
-
-    def body(api, ops=tuple(tuple(op) for op in pspec.ops)):
-        for op in ops:
-            if op[0] == "send":
-                _, oid, method, key, amount = op
-                api.send(oid, method, key, amount)
-            elif op[1]:
-                api.work(op[1])
-
-    return TransactionProgram(
-        pspec.label, body, max_restarts=pspec.max_restarts, kind=kind
+    return program_from_ops(
+        pspec.label, pspec.ops, max_restarts=pspec.max_restarts, kind=kind
     )
 
 

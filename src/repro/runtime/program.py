@@ -74,3 +74,31 @@ class TransactionProgram:
     def attempt_label(self, attempt: int) -> str:
         """Unique transaction label per execution attempt."""
         return self.label if attempt == 0 else f"{self.label}.r{attempt}"
+
+
+def program_from_ops(
+    label: str,
+    ops: list,
+    *,
+    max_restarts: int = 20,
+    kind: str = "",
+    deadline_tick: int | None = None,
+) -> TransactionProgram:
+    """Compile an op list — ``["send", oid, method, key, amount]`` or
+    ``["work", ticks]`` entries — into an executable transaction program."""
+
+    def body(api, ops=tuple(tuple(op) for op in ops)):
+        for op in ops:
+            if op[0] == "send":
+                _, oid, method, key, amount = op
+                api.send(oid, method, int(key), int(amount))
+            else:
+                api.work(int(op[1]))
+
+    return TransactionProgram(
+        label,
+        body,
+        max_restarts=max_restarts,
+        kind=kind,
+        deadline_tick=deadline_tick,
+    )

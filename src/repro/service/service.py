@@ -44,7 +44,12 @@ from collections import deque
 from repro.analysis.compare import make_scheduler
 from repro.core.certify import OnlineCertifier, certified_base
 from repro.errors import DatabaseError
-from repro.fuzz.generator import GeneratorProfile, build_workload, generate
+from repro.fuzz.generator import (
+    GeneratorProfile,
+    build_workload,
+    generate,
+    sharded_profile,
+)
 from repro.fuzz.oracle import check_history, strictness_for
 from repro.oodb.database import ObjectDatabase
 from repro.oodb.session import DatabaseSession
@@ -54,7 +59,7 @@ from repro.runtime.executor import (
     InterleavedExecutor,
     RetryPolicy,
 )
-from repro.runtime.program import TransactionProgram
+from repro.runtime.program import program_from_ops
 from repro.service.admission import (
     REJECT_QUEUE_FULL,
     REJECT_SHUTTING_DOWN,
@@ -66,6 +71,11 @@ from repro.service.admission import (
 #: ops a client program may contain (the workload generator's alphabet)
 OP_SEND = "send"
 OP_WORK = "work"
+
+#: executor tick budget per batch
+MAX_TICKS = 500_000
+#: how long the engine sleeps on an empty queue before re-checking stop
+IDLE_WAIT_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -86,12 +96,6 @@ class ServiceConfig:
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     #: restart backoff policy handed to the executor
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    #: executor tick budget per batch
-    max_ticks: int = 500_000
-    #: worker join timeout (seconds) before a hang is declared
-    join_timeout: float = 30.0
-    #: how long the engine sleeps on an empty queue before re-checking stop
-    idle_wait_s: float = 0.02
     #: certify each settled batch incrementally (the online audit); off,
     #: the history is only judged by an explicit :meth:`certify` call
     online_certify: bool = True
@@ -234,60 +238,78 @@ class TransactionService:
         clock=time.monotonic,
     ):
         self.config = config or ServiceConfig()
-        if self.config.shards > 1 and (profile is None or profile.groups <= 1):
-            # The hosted object graph must actually spread over the shards:
-            # an ungrouped spec can collapse into one call component, which
-            # would pin every object to shard 0.  Same normalization as the
-            # fuzz driver's --shards path.
-            profile = (profile or GeneratorProfile()).grouped(
-                self.config.shards
-            )
-        spec = generate(self.config.seed, profile)
+        # The hosted object graph must actually spread over the shards: an
+        # ungrouped spec can collapse into one call component, which would
+        # pin every object to shard 0.
+        spec = generate(
+            self.config.seed, sharded_profile(profile, self.config.shards)
+        )
         self.spec = spec
         self._wal: WriteAheadLog | None = None
         self._group = None
+        self.executor = None
         if self.config.shards > 1:
-            self._init_sharded(spec, clock, quotas)
-            return
-        store = None
-        if self.config.data_dir is not None:
-            from repro.oodb.store import FileBackedPageStore
+            # N shard databases and executors behind one coordinator replace
+            # the single shared executor.  The group duck-types the narrow
+            # database surface the front half reads — catalog lookups and
+            # the metrics registry — so admission, sessions and settlement
+            # run unchanged.
+            from repro.shard.service import ShardGroup
 
-            os.makedirs(self.config.data_dir, exist_ok=True)
-            wal_path = os.path.join(self.config.data_dir, "wal.jsonl")
-            if os.path.exists(wal_path):
-                # Bootstrapping over prior state would append a second
-                # genesis onto its log; make the operator decide first.
+            if self.config.data_dir is not None:
                 raise DatabaseError(
-                    f"data dir {self.config.data_dir} already holds a WAL; "
-                    "run `repro recover --data-dir` and move it aside, or "
-                    "point --data-dir at a fresh directory"
+                    "shards > 1 does not compose with --data-dir: the sharded "
+                    "runtime keeps per-shard WAL segments only in cell mode "
+                    "(python -m repro shard --data-dir)"
                 )
-            self._wal = WriteAheadLog(path=wal_path)
-            store = FileBackedPageStore(
-                self.config.data_dir,
-                frames=self.config.frames,
-                default_capacity=4 * spec.key_space + 16,
+            self.db = self._group = ShardGroup(
+                spec,
+                self.config.protocol,
+                self.config.shards,
+                seed=self.config.seed,
+                max_ticks=MAX_TICKS,
+                retry_policy=self.config.retry_policy,
             )
-        self.db = ObjectDatabase(
-            scheduler=make_scheduler(self.config.protocol, spec.layers()),
-            page_capacity=4 * spec.key_space + 16,
-            wal=self._wal,
-            store=store,
-            checkpoint_every=(
-                self.config.checkpoint_every if store is not None else None
-            ),
-        )
-        # Materialize the object graph only; the spec's canned programs are
-        # discarded — clients author the programs here.
-        self.oids, _ = build_workload(self.db, spec)
-        self.executor = InterleavedExecutor(
-            self.db,
-            seed=self.config.seed,
-            max_ticks=self.config.max_ticks,
-            retry_policy=self.config.retry_policy,
-            join_timeout=self.config.join_timeout,
-        )
+            self.oids = sorted(self._group.shard_map.assignment)
+        else:
+            store = None
+            if self.config.data_dir is not None:
+                from repro.oodb.store import FileBackedPageStore
+
+                os.makedirs(self.config.data_dir, exist_ok=True)
+                wal_path = os.path.join(self.config.data_dir, "wal.jsonl")
+                if os.path.exists(wal_path):
+                    # Bootstrapping over prior state would append a second
+                    # genesis onto its log; make the operator decide first.
+                    raise DatabaseError(
+                        f"data dir {self.config.data_dir} already holds a "
+                        "WAL; run `repro recover --data-dir` and move it "
+                        "aside, or point --data-dir at a fresh directory"
+                    )
+                self._wal = WriteAheadLog(path=wal_path)
+                store = FileBackedPageStore(
+                    self.config.data_dir,
+                    frames=self.config.frames,
+                    default_capacity=4 * spec.key_space + 16,
+                )
+            self.db = ObjectDatabase(
+                scheduler=make_scheduler(self.config.protocol, spec.layers()),
+                page_capacity=4 * spec.key_space + 16,
+                wal=self._wal,
+                store=store,
+                checkpoint_every=(
+                    self.config.checkpoint_every if store is not None else None
+                ),
+            )
+            # Materialize the object graph only; the spec's canned programs
+            # are discarded — clients author the programs here.
+            self.oids, _ = build_workload(self.db, spec)
+            self.executor = InterleavedExecutor(
+                self.db,
+                seed=self.config.seed,
+                max_ticks=MAX_TICKS,
+                retry_policy=self.config.retry_policy,
+            )
         self.admission = AdmissionController(
             self.config.default_quota,
             clock=clock,
@@ -295,58 +317,6 @@ class TransactionService:
         )
         for tenant, quota in (quotas or {}).items():
             self.admission.register(tenant, quota)
-        self._init_engine_state()
-        if self.config.online_certify:
-            # The online audit: every settled batch's commits are certified
-            # against the growing history, in the engine thread (the
-            # executor is idle between batches, so the trees are quiescent).
-            self._certifier = OnlineCertifier(
-                certified_base(self.db.system),
-                self.db.commutativity_registry().copy(),
-                strict_cross_object=strictness_for(self.config.protocol),
-                metrics=self.db.metrics,
-            )
-
-    def _init_sharded(self, spec, clock, quotas) -> None:
-        """The ``shards > 1`` construction path: N shard databases and
-        executors behind one coordinator (:class:`repro.shard.service.
-        ShardGroup`) replace the single shared executor.  The group
-        duck-types the narrow database surface the service front half
-        reads — catalog lookups and the metrics registry — so admission,
-        sessions and settlement run unchanged."""
-        from repro.shard.service import ShardGroup
-
-        if self.config.data_dir is not None:
-            raise DatabaseError(
-                "shards > 1 does not compose with --data-dir: the sharded "
-                "runtime keeps per-shard WAL segments only in cell mode "
-                "(python -m repro shard --data-dir)"
-            )
-        self._group = ShardGroup(
-            spec,
-            self.config.protocol,
-            self.config.shards,
-            seed=self.config.seed,
-            max_ticks=self.config.max_ticks,
-            retry_policy=self.config.retry_policy,
-            join_timeout=self.config.join_timeout,
-        )
-        self.db = self._group
-        self.oids = sorted(self._group.shard_map.assignment)
-        self.executor = None
-        self.admission = AdmissionController(
-            self.config.default_quota,
-            clock=clock,
-            metrics=self._group.metrics,
-        )
-        for tenant, quota in (quotas or {}).items():
-            self.admission.register(tenant, quota)
-        self._init_engine_state()
-        # The online certifier is a single-history device; the composed
-        # sharded oracle (ShardGroup.certify) is the audit surface instead.
-
-    def _init_engine_state(self) -> None:
-        """State shared by both construction paths (single and sharded)."""
         self._sessions: dict[str, DatabaseSession] = {}
         self._sessions_lock = threading.Lock()
         self._queue: queue.Queue[_Request] = queue.Queue()
@@ -385,6 +355,18 @@ class TransactionService:
         )
         self._certifier_lock = threading.Lock()
         self._certifier: OnlineCertifier | None = None
+        if self.config.online_certify and self._group is None:
+            # The online audit: every settled batch's commits are certified
+            # against the growing history, in the engine thread (the
+            # executor is idle between batches, so the trees are quiescent).
+            # It is a single-history device; the composed sharded oracle
+            # (ShardGroup.certify) is the audit surface of a shard group.
+            self._certifier = OnlineCertifier(
+                certified_base(self.db.system),
+                self.db.commutativity_registry().copy(),
+                strict_cross_object=strictness_for(self.config.protocol),
+                metrics=self.db.metrics,
+            )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -592,7 +574,7 @@ class TransactionService:
             if scheduler.buffered == 0:
                 try:
                     scheduler.offer(
-                        self._queue.get(timeout=self.config.idle_wait_s)
+                        self._queue.get(timeout=IDLE_WAIT_S)
                     )
                 except queue.Empty:
                     if self._stopping:
@@ -611,85 +593,69 @@ class TransactionService:
             if batch:
                 self._run_batch(batch)
 
-    def _program_for(self, request: _Request) -> TransactionProgram:
-        def body(api, ops=tuple(tuple(op) for op in request.ops)):
-            for op in ops:
-                if op[0] == OP_SEND:
-                    _, oid, method, key, amount = op
-                    api.send(oid, method, int(key), int(amount))
-                else:
-                    api.work(int(op[1]))
+    def _execute(self, batch: list[_Request]) -> dict:
+        """Run one batch on the engine; returns ``{label: outcome}``.
 
-        deadline = None
-        if request.deadline_ticks is not None:
-            deadline = self.executor.now + int(request.deadline_ticks)
-        return TransactionProgram(
-            request.label,
-            body,
-            max_restarts=request.max_restarts,
-            kind="service",
-            deadline_tick=deadline,
-        )
+        The shard group merges every transaction's branch outcomes into
+        one :class:`~repro.runtime.executor.WorkerOutcome`, so settlement —
+        ledgers, admission accounting, responses — is the same either way.
+        """
+        if self._group is not None:
+            return self._group.run_batch(
+                [
+                    {
+                        "label": request.label,
+                        "ops": request.ops,
+                        "max_restarts": request.max_restarts,
+                        "deadline_ticks": request.deadline_ticks,
+                    }
+                    for request in batch
+                ]
+            )
+        programs = [
+            program_from_ops(
+                request.label,
+                request.ops,
+                max_restarts=request.max_restarts,
+                kind="service",
+                deadline_tick=(
+                    self.executor.now + int(request.deadline_ticks)
+                    if request.deadline_ticks is not None
+                    else None
+                ),
+            )
+            for request in batch
+        ]
+        return {o.label: o for o in self.executor.run(programs).outcomes}
 
     def _run_batch(self, batch: list[_Request]) -> None:
-        if self._group is not None:
-            self._run_batch_sharded(batch)
-            return
         for request in batch:
             self.admission.started(request.tenant)
-        programs = [self._program_for(request) for request in batch]
+        failure = None
         try:
-            result = self.executor.run(programs)
+            outcomes = self._execute(batch)
         except BaseException as exc:
             # A worker error (validated requests make this rare).  Recover
             # the per-worker outcomes the executor already joined so no
-            # admitted request goes unsettled, then fail the stragglers.
-            outcomes = [w.outcome for w in self.executor._workers]
-            by_label = {o.program.label: o for o in outcomes}
-            for request in batch:
-                outcome = by_label.get(request.label)
-                if outcome is not None:
-                    self._settle(request, outcome)
-                else:  # pragma: no cover - defensive
-                    self._settle_error(request, exc)
-            self._certify_batch([o for o in outcomes if o is not None])
-            return
-        self._batches.inc()
-        self._batch_size.observe(len(batch))
-        by_label = {o.program.label: o for o in result.outcomes}
+            # admitted request goes unsettled, then fail the stragglers; a
+            # shard group's branch outcomes are partial, so all of its
+            # batch fails.
+            failure = exc
+            outcomes = {}
+            if self.executor is not None:
+                outcomes = {
+                    w.outcome.label: w.outcome for w in self.executor._workers
+                }
+        else:
+            self._batches.inc()
+            self._batch_size.observe(len(batch))
         for request in batch:
-            self._settle(request, by_label[request.label])
-        self._certify_batch(result.outcomes)
-
-    def _run_batch_sharded(self, batch: list[_Request]) -> None:
-        """One engine batch on the shard group: split, 2PC, settle.
-
-        The group merges every transaction's branch outcomes into one
-        :class:`~repro.runtime.executor.WorkerOutcome`, so settlement —
-        ledgers, admission accounting, responses — is byte-for-byte the
-        single-core path.
-        """
-        for request in batch:
-            self.admission.started(request.tenant)
-        requests = [
-            {
-                "label": request.label,
-                "ops": request.ops,
-                "max_restarts": request.max_restarts,
-                "deadline_ticks": request.deadline_ticks,
-            }
-            for request in batch
-        ]
-        try:
-            outcomes = self._group.run_batch(requests)
-        except BaseException as exc:
-            for request in batch:
-                self._settle_error(request, exc)
-            return
-        self._batches.inc()
-        self._batch_size.observe(len(batch))
-        for request in batch:
-            self._settle(request, outcomes[request.label])
+            outcome = outcomes.get(request.label)
+            if outcome is not None:
+                self._settle(request, outcome)
+            else:
+                self._settle_error(request, failure)
+        self._certify_batch(outcomes.values())
 
     def _certify_batch(self, outcomes) -> None:
         """The online audit step: certify this batch's commits incrementally.
@@ -761,18 +727,13 @@ class TransactionService:
         """The whole service run as one oracle-checkable result."""
         with self._outcome_lock:
             outcomes = list(self._outcomes)
-        if self._group is not None:
-            return ExecutionResult(
-                outcomes=outcomes,
-                makespan=self._group.now,
-                scheduler_stats={},
-                db=self.db,
-                seed=self.config.seed,
-            )
+        sharded = self._group is not None
         return ExecutionResult(
             outcomes=outcomes,
-            makespan=self.executor.now,
-            scheduler_stats=dict(self.executor._scheduler_stats()),
+            makespan=self._group.now if sharded else self.executor.now,
+            scheduler_stats=(
+                {} if sharded else dict(self.executor._scheduler_stats())
+            ),
             db=self.db,
             seed=self.config.seed,
         )
@@ -819,7 +780,9 @@ class TransactionService:
         forces the full :func:`check_history` replay.
         """
         if self._group is not None:
-            return self._group.certify(ablation)
+            return self._group.certify(
+                ablation, gave_up=len(self.history_result().gave_up)
+            )
         strict = strictness_for(self.config.protocol)
         if ablation is not None or exact or self._certifier is None:
             return check_history(

@@ -5,13 +5,17 @@ The object space is statically partitioned across N shards
 segment, and Def 10–14 dependency analysis.  Transactions that span shards
 two-phase commit through a coordinator that maintains the global Def 15
 added-action relation and aborts any prepare that would close a Def 16
-cycle (:mod:`repro.shard.coordinator`).  The drivers — deterministic
-in-process epochs and a real multiprocessing fan-out — live in
-:mod:`repro.shard.runtime`; presumed-abort segment recovery in
-:mod:`repro.shard.recovery`.
+cycle (:mod:`repro.shard.coordinator`).  The engine is one copy deep:
+the shard-side executor in :mod:`repro.shard.executor`; the shard unit, the
+barrier loop, the Def 16 composition and the service's ``ShardGroup`` in
+:mod:`repro.shard.service`; the fuzz-cell drivers — deterministic
+in-process epochs and a real multiprocessing fan-out — and the canonical
+cell report in :mod:`repro.shard.runtime`; presumed-abort segment recovery
+in :mod:`repro.shard.recovery`.
 """
 
 from repro.shard.coordinator import ABORT, COMMIT, Coordinator, canonical_cycle
+from repro.shard.executor import ShardExecutor, base_label
 from repro.shard.partition import (
     ShardMap,
     SplitWorkload,
@@ -28,15 +32,17 @@ from repro.shard.recovery import (
 )
 from repro.shard.runtime import (
     ShardedResult,
-    ShardedRuntime,
-    ShardExecutor,
-    ShardState,
     ShardSummary,
-    base_label,
     format_cell_report,
     merge_events,
     run_sharded_cell,
     single_core_text,
+)
+from repro.shard.service import (
+    ShardGroup,
+    ShardState,
+    compose_report,
+    drive_epochs,
 )
 
 __all__ = [
@@ -45,16 +51,18 @@ __all__ = [
     "Coordinator",
     "ResolutionReport",
     "ShardExecutor",
+    "ShardGroup",
     "ShardMap",
     "ShardResolution",
     "ShardState",
     "ShardSummary",
     "ShardedResult",
-    "ShardedRuntime",
     "SplitWorkload",
     "base_label",
     "call_components",
     "canonical_cycle",
+    "compose_report",
+    "drive_epochs",
     "format_cell_report",
     "in_doubt_attempts",
     "load_decisions",

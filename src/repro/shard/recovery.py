@@ -33,8 +33,8 @@ from repro.oodb.wal import (
     recover,
     store_digest,
 )
+from repro.shard.executor import base_label
 from repro.shard.partition import ShardMap
-from repro.shard.runtime import base_label
 
 
 def load_decisions(data_dir: str) -> dict[str, str]:

@@ -1,33 +1,20 @@
-"""The sharded transaction runtime: N shard executors + one coordinator.
+"""Fuzz-cell drivers of the shard engine, and the canonical cell report.
 
-Each shard owns a disjoint slice of the object space (``partition.py``),
-with its **own** database — lock table, WAL segment, metrics registry,
-event stream and incremental analysis state.  Cross-shard transactions are
-split into per-shard *branches*; a branch of a multi-shard transaction
-two-phase commits: it runs its body, votes (``scheduler.prepare`` + a
-durable ``prepare`` record), and parks on a ``2pc:<label>`` wait key until
-the coordinator's verdict arrives.  Single-shard transactions take the 1PC
-fast path — they commit locally the moment their body finishes, exactly
-like the single-core executor, which is why a 1-shard run is byte-identical
-to today's ``execute_cell``.
+A sharded *cell* is N fresh :class:`~repro.shard.service.ShardState` units
+driven for exactly one batch — the workload spec's programs, cut into
+per-shard branches by ``partition.py`` — through
+:func:`~repro.shard.service.drive_epochs`, then judged by
+:func:`~repro.shard.service.compose_report` plus the cell-only atomicity
+check (:func:`assemble_result`).
 
-Shards run in **bulk-synchronous epochs**: each shard drives its
-deterministic controller loop until quiescent (all programs finished, or
-every runnable worker parked on a ``2pc:`` key), then all shards meet at a
-barrier.  At the barrier the coordinator ingests each shard's cumulative
-votes and its current Definition 15 constraint edges (base-mapped, over
-committed-or-prepared transactions), runs the global Definition 16
-acyclicity check, and broadcasts verdicts; shards resume.  The barrier also
-aligns the logical clocks: the global tick is the max of every shard's
-``offset + now``, per-shard offsets are re-based to it, and the merged
-event trace — per-shard streams sorted by ``(tick, shard, stream index)`` —
-is byte-stable across runs.
-
-Two drivers share all of that machinery: the **in-proc** driver (epochs
-run sequentially on one thread — deterministic, used by the fuzz oracle,
-the service backend and the byte-identity tests) and the
-**multiprocessing** driver (one OS process per shard, duplex pipes, used
-by ``benchmarks/bench_scale.py`` for real multi-core scaling).
+Two drivers differ only in how an epoch reaches the units: **in-proc**
+(epochs run sequentially on one thread — deterministic, used by the fuzz
+oracle and the byte-identity tests) and **multiprocessing** (one OS process
+per unit behind a duplex pipe, used by ``benchmarks/bench_scale.py`` for
+real multi-core scaling).  Each unit's interleaving depends only on its own
+seeded RNG and the (deterministic) decision stream, and the merged event
+trace — per-shard streams sorted by ``(tick, shard, stream index)`` — is
+byte-stable across runs and across the two drivers.
 """
 
 from __future__ import annotations
@@ -36,151 +23,30 @@ import hashlib
 import json
 import multiprocessing
 import os
-import re
 from dataclasses import asdict, dataclass, field
 
-from repro.analysis.compare import make_scheduler
-from repro.core.graph import OnlineTopology
-from repro.core.serializability import (
-    analyze_system,
-    conventional_constraints,
-    conventional_serializable,
-)
 from repro.errors import SimulationError
-from repro.fuzz.generator import WorkloadSpec, build_workload
+from repro.fuzz.generator import WorkloadSpec, build_program
 from repro.fuzz.oracle import Ablation, OracleReport, strictness_for
 from repro.obs.events import EventBus, event_to_dict
-from repro.oodb.database import ObjectDatabase
-from repro.oodb.trace import committed_projection
 from repro.oodb.wal import WriteAheadLog
-from repro.runtime.executor import (
-    _BLOCKED,
-    _DONE,
-    _READY,
-    InterleavedExecutor,
-    _Worker,
-)
 from repro.shard.coordinator import ABORT, COMMIT, Coordinator
+from repro.shard.executor import base_label
 from repro.shard.partition import ShardMap, split_programs
+from repro.shard.service import (
+    ShardState,
+    compose_report,
+    drive_epochs,
+    judge_history,
+    step_in_process,
+)
 
-_ATTEMPT_SUFFIX = re.compile(r"\.r\d+$")
-
-#: seed stride between shards (shard 0 keeps the caller's seed verbatim —
-#: part of the 1-shard byte-identity contract)
-_SEED_STRIDE = 100_003
-
-
-def base_label(label: str) -> str:
-    """Strip the restart suffix: ``T3.r2`` -> ``T3`` (``T3`` stays ``T3``)."""
-    return _ATTEMPT_SUFFIX.sub("", label)
-
-
-# ---------------------------------------------------------------------------
-# the shard-side executor
-# ---------------------------------------------------------------------------
-
-
-class _TwoPhaseWorker(_Worker):
-    """A branch of a cross-shard transaction: vote, park, obey the verdict."""
-
-    def _finalize(self, ctx) -> None:
-        executor: "ShardExecutor" = self.executor  # type: ignore[assignment]
-        db = executor.db
-        base = self.program.label
-        if executor.decisions.get(base) == ABORT:
-            # The transaction was aborted globally (a Definition 16 victim,
-            # a failed sibling branch, or a deadlock break) while this
-            # branch was still running its body.  Don't vote for the dead:
-            # roll back, and never restart — the verdict is final.
-            self._cross_abort(ctx)
-            return
-        # The local vote: certification/lock-conversion runs *now* (a
-        # failure raises TransactionAborted and restarts the branch — it
-        # has not voted yet), and the prepare record is forced so recovery
-        # can hold this shard to its promise.
-        db.scheduler.prepare(ctx)
-        db._fault_hit("2pc.prepare")
-        if db.wal is not None:
-            db.wal.append({"t": "prepare", "txn": ctx.txn_id})
-            db.wal.sync()
-        verdict = executor._vote_and_wait(ctx)
-        if verdict == COMMIT:
-            db._fault_hit("2pc.commit")
-            db.commit(ctx, prepared=True)
-            self.outcome.committed = True
-            self.outcome.final_ctx = ctx
-        else:
-            self._cross_abort(ctx)
-
-    def _cross_abort(self, ctx) -> None:
-        self.executor.db.abort(ctx, "cross-shard transaction aborted")
-        self.outcome.aborted_ctxs.append(ctx)
-        self.outcome.cross_abort = True
-
-
-class ShardExecutor(InterleavedExecutor):
-    """The interleaved executor with a two-phase-commit quiescence point.
-
-    ``multi_labels`` are the base labels of transactions that span shards;
-    their programs get :class:`_TwoPhaseWorker` bodies.  Everything else —
-    scheduling, backoff, restarts, fault handling — is inherited unchanged,
-    so a shard with no cross-shard branches behaves exactly like the
-    single-core executor.
-    """
-
-    def __init__(self, db, multi_labels: set[str], **kwargs):
-        super().__init__(db, **kwargs)
-        self.multi_labels = set(multi_labels)
-        #: base label -> COMMIT | ABORT, as broadcast by the coordinator
-        self.decisions: dict[str, str] = {}
-        #: base label -> attempt label of the branch that voted
-        self.prepared_attempts: dict[str, str] = {}
-
-    def _make_worker(self, program) -> _Worker:
-        if program.label in self.multi_labels:
-            return _TwoPhaseWorker(self, program)
-        return _Worker(self, program)
-
-    def _on_stall(self, pending) -> bool:
-        # Quiescent for this epoch: someone is parked waiting for a 2PC
-        # verdict that only the coordinator (outside this loop) can
-        # deliver.  Hand control back to the epoch driver.
-        if not self.crashed and any(
-            w.state == _BLOCKED and (w.wait_key or "").startswith("2pc:")
-            for w in pending
-        ):
-            return False
-        return super()._on_stall(pending)
-
-    def _vote_and_wait(self, ctx) -> str:
-        """Record the vote, then park until the coordinator has decided."""
-        base = base_label(ctx.txn_id)
-        self.prepared_attempts[base] = ctx.txn_id
-        while True:
-            verdict = self.decisions.get(base)
-            if verdict is not None:
-                return verdict
-            self.wait_for(ctx, f"2pc:{base}")
-
-    def apply_decisions(self, decisions: dict[str, str]) -> None:
-        """Adopt a round of verdicts and wake the parked branches.
-
-        The wakeup bypasses ``wake_keys`` on purpose: coordinator verdicts
-        are control messages, not lock releases, so the fault plane's
-        dropped-wakeup injection must not eat them.
-        """
-        if not decisions:
-            return
-        self.decisions.update(decisions)
-        keys = {f"2pc:{base}" for base in decisions}
-        with self._cond:
-            for worker in self._workers:
-                if worker.state == _BLOCKED and worker.wait_key in keys:
-                    worker.state = _READY
+#: executor tick budget of one cell (the fuzz driver's ``execute_cell`` value)
+CELL_MAX_TICKS = 200_000
 
 
 # ---------------------------------------------------------------------------
-# one shard's full state
+# one shard's end-of-cell digest
 # ---------------------------------------------------------------------------
 
 
@@ -206,220 +72,30 @@ class ShardSummary:
     events: list = field(default_factory=list)
 
 
-class ShardState:
-    """Everything one shard owns: database, WAL segment, executor, events."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        spec: WorkloadSpec,
-        protocol: str,
-        n_shards: int,
-        *,
-        exec_seed: int | None = None,
-        max_ticks: int = 200_000,
-        wal_path: str | None = None,
-        use_wal: bool = False,
-        collect_events: bool = False,
-        ablation: Ablation | None = None,
-        faults=None,
-    ):
-        self.shard_id = shard_id
-        self.spec = spec
-        self.protocol = protocol
-        self.n_shards = n_shards
-        self.strict = strictness_for(protocol)
-        self.ablation = ablation
-        self.clock_offset = 0
-        self.status = "new"
-        self.events: list[dict] = []
-
-        shard_map = ShardMap.plan(spec, n_shards)
-        split = split_programs(spec, shard_map)
-        self.multi = split.multi
-        owned = shard_map.owned(shard_id, spec)
-        branch_specs = split.branches.get(shard_id, [])
-
-        wal = None
-        if wal_path is not None:
-            wal = WriteAheadLog(wal_path)
-        elif use_wal:
-            wal = WriteAheadLog()
-        bus = None
-        if collect_events:
-            bus = EventBus()
-            bus.subscribe(self._record_event)
-        self.db = ObjectDatabase(
-            scheduler=make_scheduler(protocol, spec.layers()),
-            page_capacity=4 * spec.key_space + 16,
-            wal=wal,
-            bus=bus,
-        )
-        _, self.programs = build_workload(
-            self.db, spec, objects=owned, programs=branch_specs
-        )
-        seed = spec.seed if exec_seed is None else exec_seed
-        self.executor = ShardExecutor(
-            self.db,
-            set(self.multi),
-            seed=seed + shard_id * _SEED_STRIDE,
-            max_ticks=max_ticks,
-            faults=faults,
-        )
-        self.db.faults = faults
-        # The shard's events tell *global* time: local ticks plus the
-        # barrier-aligned offset.  At one shard the offset is always 0 and
-        # this is exactly the executor's own clock.
-        self.db.bus.clock = lambda: self.clock_offset + self.executor.now
-
-    def _record_event(self, event) -> None:
-        self.events.append(event_to_dict(event))
-
-    # -- epoch driving -------------------------------------------------------
-
-    def start(self) -> None:
-        self.executor.start(self.programs)
-        self.status = "running"
-
-    def run_epoch(
-        self, decisions: dict[str, str], offset: int | None = None
-    ) -> dict:
-        """Apply verdicts, run until quiescent, report to the coordinator."""
-        if offset is not None:
-            self.clock_offset = offset
-        ex = self.executor
-        before = (ex.now, len(ex.prepared_attempts), self._n_committed())
-        ex.apply_decisions(decisions)
-        if self.status != "done":
-            self.status = ex._controller_loop()
-        failed: list[str] = []
-        if not ex.crashed:
-            for worker in ex._workers:
-                if (
-                    worker.program.label in self.multi
-                    and worker.state == _DONE
-                    and not worker.outcome.committed
-                    and not worker.outcome.cross_abort
-                ):
-                    failed.append(worker.program.label)
-        return {
-            "shard": self.shard_id,
-            "status": self.status,
-            "advanced": (ex.now, len(ex.prepared_attempts), self._n_committed())
-            != before,
-            "prepared": sorted(ex.prepared_attempts),
-            "failed": sorted(failed),
-            "committed_local": sorted(self._committed_bases()),
-            "edges": self.current_edges(),
-            "crashed": ex.crashed,
-            "now": ex.now,
-        }
-
-    def _n_committed(self) -> int:
-        return sum(1 for w in self.executor._workers if w.outcome.committed)
-
-    def _committed_bases(self) -> set[str]:
-        return {
-            base_label(w.outcome.final_ctx.txn_id)
-            for w in self.executor._workers
-            if w.outcome.committed and w.outcome.final_ctx is not None
-        }
-
-    # -- Definition 15 edge extraction ---------------------------------------
-
-    def _registry(self):
-        registry = self.db.commutativity_registry()
-        if self.ablation is not None:
-            registry = self.ablation.apply(registry)
-        return registry
-
-    def _projection_labels(self) -> set[str]:
-        ex = self.executor
-        labels = {
-            w.outcome.final_ctx.txn_id
-            for w in ex._workers
-            if w.outcome.committed and w.outcome.final_ctx is not None
-        }
-        for base, attempt in ex.prepared_attempts.items():
-            if ex.decisions.get(base) != ABORT:
-                labels.add(attempt)
-        return labels
-
-    def current_edges(self) -> list:
-        """The shard's Definition 15 constraints over committed ∪ prepared
-        transactions, mapped to base labels — what the coordinator feeds
-        into the global Definition 16 topology."""
-        projection = committed_projection(
-            self.db.system, self._projection_labels()
-        )
-        verdict, _ = analyze_system(
-            projection, self._registry(), propagate_cross_object=self.strict
-        )
-        return _base_edges(verdict.top_order_constraints)
-
-    # -- end of run ----------------------------------------------------------
-
-    def finalize(self) -> ShardSummary:
-        """Join the workers and judge this shard's committed history."""
-        result = self.executor.finish()
-        committed_attempts = {
-            base_label(o.final_ctx.txn_id): o.final_ctx.txn_id
-            for o in result.outcomes
-            if o.committed and o.final_ctx is not None
-        }
-        projection = committed_projection(
-            self.db.system, result.committed_labels
-        )
-        verdict, _ = analyze_system(
-            projection, self._registry(), propagate_cross_object=self.strict
-        )
-        return ShardSummary(
-            shard=self.shard_id,
-            committed=sorted(committed_attempts),
-            committed_attempts=committed_attempts,
-            gave_up=sorted(o.label for o in result.outcomes if o.gave_up),
-            cross_aborts=sorted(
-                o.label for o in result.outcomes if o.cross_abort
-            ),
-            restarts=result.total_restarts,
-            makespan=result.makespan,
-            hung=len(result.hung),
-            crashed=result.crashed,
-            oo_ok=verdict.oo_serializable,
-            conv_ok=conventional_serializable(projection),
-            oo_edges=_base_edges(verdict.top_order_constraints),
-            conv_edges=_base_edges(conventional_constraints(projection)),
-            wal_records=(
-                len(self.db.wal.records) if self.db.wal is not None else 0
-            ),
-            metrics=dict(self.db.metrics.as_dict()),
-            events=self.events,
-        )
-
-    # -- mp plumbing ---------------------------------------------------------
-
-    @staticmethod
-    def from_payload(payload: dict) -> "ShardState":
-        return ShardState(
-            payload["shard_id"],
-            WorkloadSpec.from_dict(payload["spec"]),
-            payload["protocol"],
-            payload["n_shards"],
-            exec_seed=payload.get("exec_seed"),
-            max_ticks=payload.get("max_ticks", 200_000),
-            wal_path=payload.get("wal_path"),
-            use_wal=payload.get("use_wal", False),
-            collect_events=payload.get("collect_events", False),
-            ablation=Ablation.from_dict(payload.get("ablation")),
-        )
-
-
-def _base_edges(constraints) -> list:
-    """Map attempt-level constraint pairs to sorted base-label pairs."""
-    edges = {
-        (base_label(src), base_label(dst)) for src, dst in constraints
-    }
-    return sorted((src, dst) for src, dst in edges if src != dst)
+def _summarize(unit: ShardState) -> ShardSummary:
+    """Join the unit's workers and judge its committed history."""
+    result = unit.finish()
+    oo_ok, conv_ok, oo_edges, conv_edges = unit.judge(unit.ablation)
+    return ShardSummary(
+        shard=unit.shard_id,
+        committed=sorted(unit.committed_attempts),
+        committed_attempts=dict(unit.committed_attempts),
+        gave_up=sorted(o.label for o in result.outcomes if o.gave_up),
+        cross_aborts=sorted(o.label for o in result.outcomes if o.cross_abort),
+        restarts=result.total_restarts,
+        makespan=result.makespan,
+        hung=len(result.hung),
+        crashed=result.crashed,
+        oo_ok=oo_ok,
+        conv_ok=conv_ok,
+        oo_edges=oo_edges,
+        conv_edges=conv_edges,
+        wal_records=(
+            len(unit.db.wal.records) if unit.db.wal is not None else 0
+        ),
+        metrics=dict(unit.db.metrics.as_dict()),
+        events=unit.events,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +125,10 @@ class ShardedResult:
     @property
     def ok(self) -> bool:
         return not self.report.violation
+
+    @property
+    def total_restarts(self) -> int:
+        return sum(summary.restarts for summary in self.summaries)
 
     def canonical_text(self) -> str:
         """The byte-stable cell report (CI diffs this against ``--single``)."""
@@ -514,13 +194,6 @@ def format_cell_report(
     return "\n".join(lines) + "\n"
 
 
-def _acyclic(edges) -> bool:
-    topology: OnlineTopology[str] = OnlineTopology()
-    for src, dst in sorted(edges):
-        topology.add_edge_checked(src, dst)
-    return not topology.has_cycle
-
-
 def assemble_result(
     spec: WorkloadSpec,
     protocol: str,
@@ -531,21 +204,12 @@ def assemble_result(
     decisions: dict[str, str],
     makespan: int,
 ) -> ShardedResult:
-    """Fuse per-shard verdicts into the global Def 14-16 decomposition.
+    """Fuse per-shard summaries into the cell's global verdict.
 
-    Objects never span shards, so the merged system's object schedules are
-    exactly the per-shard ones; the sharded verdict is therefore
-
-    - every shard's committed projection passes the local Def 10-14
-      analysis (per-protocol strictness), AND
-    - the union of the shards' Definition 15 constraint sets (base-mapped)
-      is acyclic (Definition 16 at global scope), AND
-    - atomicity held: a cross-shard transaction committed on all of its
-      shards or none, always matching the coordinator's verdict, AND
-    - the coordinator never witnessed a committed-only cycle.
-
-    The conventional baseline composes the same way over page-conflict
-    constraints.
+    The Def 14-16 decomposition is :func:`~repro.shard.service.
+    compose_report`'s; the cell adds the atomicity check — a cross-shard
+    transaction committed on all of its shards or none, always matching the
+    coordinator's verdict.
     """
     summaries = sorted(summaries, key=lambda s: s.shard)
     crashed_shards = {s.shard for s in summaries if s.crashed}
@@ -580,21 +244,6 @@ def assemble_result(
                 f"{sorted(missing)}"
             )
 
-    oo_edges = sorted(
-        {tuple(edge) for s in summaries for edge in s.oo_edges}
-    )
-    conv_edges = sorted(
-        {tuple(edge) for s in summaries for edge in s.conv_edges}
-    )
-    coord_violations = coordinator_stats.get("violations", [])
-    oo_ok = (
-        all(s.oo_ok for s in summaries)
-        and _acyclic(oo_edges)
-        and not coord_violations
-        and not atomicity
-    )
-    conv_ok = all(s.conv_ok for s in summaries) and _acyclic(conv_edges)
-
     committed = sorted(committed_on)
     gave_up = sorted(
         {base for s in summaries for base in s.gave_up} - set(committed)
@@ -603,22 +252,13 @@ def assemble_result(
         {base for s in summaries for base in s.cross_aborts}
         - set(committed)
     )
-    parts = [
-        f"{len(committed)} committed across {n_shards} shard(s)",
-        "globally oo-serializable" if oo_ok else "OO-SERIALIZABILITY VIOLATED",
-    ]
-    if atomicity:
-        parts.append(f"{len(atomicity)} atomicity violation(s)")
-    if coord_violations:
-        parts.append(f"{len(coord_violations)} committed cycle(s)")
-    report = OracleReport(
-        oo_serializable=oo_ok,
-        conventional_serializable=conv_ok,
-        oo_constraints=len(oo_edges),
-        conventional_constraints=len(conv_edges),
+    report = compose_report(
+        [(s.oo_ok, s.conv_ok, s.oo_edges, s.conv_edges) for s in summaries],
+        n_shards=n_shards,
         committed=len(committed),
-        description="; ".join(parts),
         gave_up=len(gave_up),
+        coord_violations=coordinator_stats.get("violations", []),
+        atomicity=atomicity,
     )
 
     merged_metrics: dict = {}
@@ -626,7 +266,6 @@ def assemble_result(
         for key, value in summary.metrics.items():
             if isinstance(value, (int, float)):
                 merged_metrics[key] = merged_metrics.get(key, 0) + value
-    events = merge_events(summaries)
 
     return ShardedResult(
         seed=spec.seed,
@@ -641,7 +280,7 @@ def assemble_result(
         gave_up=gave_up,
         cross_aborted=cross_aborted,
         makespan=makespan,
-        events=events,
+        events=merge_events(summaries),
         metrics=merged_metrics,
     )
 
@@ -669,197 +308,127 @@ def merge_events(summaries: list[ShardSummary]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-class ShardedRuntime:
-    """Build, drive and judge one sharded run of a workload spec."""
+def _start_unit(
+    shard_id: int,
+    spec: WorkloadSpec,
+    protocol: str,
+    owned: list,
+    branches: list,
+    multi: dict,
+    *,
+    wal_path: str | None,
+    collect_events: bool,
+    ablation: Ablation | None,
+    faults=None,
+) -> ShardState:
+    """Build one cell unit and launch its branch programs."""
+    unit = ShardState(
+        shard_id,
+        spec,
+        protocol,
+        owned,
+        seed=spec.seed,
+        max_ticks=CELL_MAX_TICKS,
+        wal=WriteAheadLog(wal_path) if wal_path is not None else None,
+        collect_events=collect_events,
+        ablation=ablation,
+        faults=faults,
+    )
+    unit.start([build_program(pspec) for pspec in branches], multi)
+    return unit
 
-    def __init__(
-        self,
-        spec: WorkloadSpec,
-        protocol: str,
-        n_shards: int,
-        *,
-        exec_seed: int | None = None,
-        max_ticks: int = 200_000,
-        data_dir: str | None = None,
-        use_wal: bool = False,
-        collect_events: bool = False,
-        ablation: Ablation | None = None,
-        faults_for=None,
-        max_rounds: int = 10_000,
-    ):
-        self.spec = spec
-        self.protocol = protocol
-        self.n_shards = n_shards
-        self.exec_seed = exec_seed
-        self.max_ticks = max_ticks
-        self.data_dir = data_dir
-        self.use_wal = use_wal or data_dir is not None
-        self.collect_events = collect_events
-        self.ablation = ablation
-        self.faults_for = faults_for
-        self.max_rounds = max_rounds
-        self.shard_map = ShardMap.plan(spec, n_shards)
-        self.split = split_programs(spec, self.shard_map)
-        self.multi = self.split.multi
-        if data_dir is not None:
-            os.makedirs(data_dir, exist_ok=True)
 
-    # -- shared pieces -------------------------------------------------------
+def run_sharded_cell(
+    spec: WorkloadSpec,
+    protocol: str,
+    n_shards: int,
+    *,
+    mp: bool = False,
+    data_dir: str | None = None,
+    collect_events: bool = False,
+    ablation: Ablation | None = None,
+    faults_for=None,
+) -> ShardedResult:
+    """One sharded (workload, protocol) cell: build, drive, judge.
 
-    def _wal_path(self, shard_id: int) -> str | None:
-        if self.data_dir is None:
-            return None
-        return os.path.join(self.data_dir, f"shard{shard_id}.wal.jsonl")
-
-    def _coordinator(self) -> Coordinator:
-        wal = None
-        if self.data_dir is not None:
-            wal = WriteAheadLog(os.path.join(self.data_dir, "coord.wal.jsonl"))
-        elif self.use_wal:
-            wal = WriteAheadLog()
-        return Coordinator(self.multi, wal=wal)
-
-    def _payload(self, shard_id: int) -> dict:
-        return {
-            "shard_id": shard_id,
-            "spec": self.spec.to_dict(),
-            "protocol": self.protocol,
-            "n_shards": self.n_shards,
-            "exec_seed": self.exec_seed,
-            "max_ticks": self.max_ticks,
-            "wal_path": self._wal_path(shard_id),
-            "use_wal": self.use_wal,
-            "collect_events": self.collect_events,
-            "ablation": (
-                self.ablation.to_dict() if self.ablation is not None else None
+    ``data_dir`` puts every shard's WAL segment and the coordinator's
+    decide log on disk (``repro.shard.recovery`` resolves them after a
+    crash); ``faults_for(shard)`` arms a fault plan per in-process shard.
+    ``mp`` runs one OS process per shard — same epochs, with the barrier
+    crossing a duplex pipe per shard and the shards executing concurrently.
+    """
+    shard_map = ShardMap.plan(spec, n_shards)
+    split = split_programs(spec, shard_map)
+    coord_wal = None
+    if data_dir is not None:
+        os.makedirs(data_dir, exist_ok=True)
+        coord_wal = WriteAheadLog(os.path.join(data_dir, "coord.wal.jsonl"))
+    coordinator = Coordinator(split.multi, wal=coord_wal)
+    cells = [
+        dict(
+            shard_id=shard,
+            spec=spec,
+            protocol=protocol,
+            owned=shard_map.owned(shard, spec),
+            branches=split.branches[shard],
+            multi=split.multi,
+            wal_path=(
+                os.path.join(data_dir, f"shard{shard}.wal.jsonl")
+                if data_dir is not None
+                else None
             ),
-        }
-
-    def _state(self, shard_id: int) -> ShardState:
-        faults = self.faults_for(shard_id) if self.faults_for else None
-        return ShardState(
-            shard_id,
-            self.spec,
-            self.protocol,
-            self.n_shards,
-            exec_seed=self.exec_seed,
-            max_ticks=self.max_ticks,
-            wal_path=self._wal_path(shard_id),
-            use_wal=self.use_wal and self.data_dir is None,
-            collect_events=self.collect_events,
-            ablation=self.ablation,
-            faults=faults,
+            collect_events=collect_events,
+            ablation=ablation,
         )
-
-    # -- in-proc driver ------------------------------------------------------
-
-    def run(self) -> ShardedResult:
-        """Drive all shards on this thread, epoch by epoch (deterministic)."""
-        states = [self._state(shard) for shard in range(self.n_shards)]
-        coordinator = self._coordinator()
-        for state in states:
-            state.start()
-        decisions_delta: dict[str, str] = {}
-        rounds = 0
-        while True:
-            reports = [
-                state.run_epoch(decisions_delta) for state in states
-            ]
-            global_tick = max(
-                state.clock_offset + state.executor.now for state in states
-            )
-            for state in states:
-                state.clock_offset = global_tick - state.executor.now
-            if all(report["status"] == "done" for report in reports):
-                break
-            decisions_delta = coordinator.round(reports)
-            rounds += 1
-            if rounds > self.max_rounds:
-                raise SimulationError(
-                    f"sharded run exceeded {self.max_rounds} coordinator "
-                    f"rounds (livelock?)",
-                    seed=self.spec.seed,
-                )
-        summaries = [state.finalize() for state in states]
-        return assemble_result(
-            self.spec,
-            self.protocol,
-            self.n_shards,
-            self.multi,
-            summaries,
-            coordinator.stats(),
-            coordinator.decisions,
-            makespan=global_tick,
-        )
-
-    # -- multiprocessing driver ----------------------------------------------
-
-    def run_mp(self) -> ShardedResult:
-        """One OS process per shard: real multi-core scaling.
-
-        Same epoch protocol as :meth:`run`, with the barrier crossing a
-        duplex pipe per shard.  Shards execute their epochs concurrently;
-        determinism is preserved because each shard's interleaving depends
-        only on its own seeded RNG and the (deterministic) decision
-        stream.
-        """
-        processes = [
-            _ShardProcess(self._payload(shard))
-            for shard in range(self.n_shards)
-        ]
+        for shard in range(n_shards)
+    ]
+    offsets = [0] * n_shards
+    if mp:
+        processes = [_ShardProcess(cell) for cell in cells]
         try:
-            coordinator = self._coordinator()
-            offsets = [0] * self.n_shards
-            decisions_delta: dict[str, str] = {}
-            global_tick = 0
-            rounds = 0
-            while True:
+
+            def step_all(decisions, offsets):
                 for proc, offset in zip(processes, offsets):
-                    proc.send(("step", decisions_delta, offset))
-                reports = [proc.recv() for proc in processes]
-                nows = [report["now"] for report in reports]
-                global_tick = max(
-                    offset + now for offset, now in zip(offsets, nows)
-                )
-                offsets = [global_tick - now for now in nows]
-                if all(report["status"] == "done" for report in reports):
-                    break
-                decisions_delta = coordinator.round(reports)
-                rounds += 1
-                if rounds > self.max_rounds:
-                    raise SimulationError(
-                        f"sharded run exceeded {self.max_rounds} "
-                        f"coordinator rounds (livelock?)",
-                        seed=self.spec.seed,
-                    )
+                    proc.send(("step", decisions, offset))
+                return [proc.recv() for proc in processes]
+
+            makespan = drive_epochs(step_all, coordinator, offsets)
             for proc in processes:
                 proc.send(("finalize",))
-            summaries = [
-                ShardSummary(**proc.recv()) for proc in processes
-            ]
-            return assemble_result(
-                self.spec,
-                self.protocol,
-                self.n_shards,
-                self.multi,
-                summaries,
-                coordinator.stats(),
-                coordinator.decisions,
-                makespan=global_tick,
-            )
+            summaries = [ShardSummary(**proc.recv()) for proc in processes]
         finally:
             for proc in processes:
                 proc.stop()
+    else:
+        units = [
+            _start_unit(
+                **cell,
+                faults=faults_for(cell["shard_id"]) if faults_for else None,
+            )
+            for cell in cells
+        ]
+        makespan = drive_epochs(step_in_process(units), coordinator, offsets)
+        summaries = [_summarize(unit) for unit in units]
+    return assemble_result(
+        spec,
+        protocol,
+        n_shards,
+        split.multi,
+        summaries,
+        coordinator.stats(),
+        coordinator.decisions,
+        makespan,
+    )
 
 
 class _ShardProcess:
     """Parent-side handle of one shard worker process."""
 
-    def __init__(self, payload: dict):
+    def __init__(self, cell: dict):
         parent, child = multiprocessing.Pipe()
         self.conn = parent
         self.process = multiprocessing.Process(
-            target=_shard_child, args=(child, payload), daemon=True
+            target=_shard_child, args=(child, cell), daemon=True
         )
         self.process.start()
         child.close()
@@ -886,19 +455,18 @@ class _ShardProcess:
         self.conn.close()
 
 
-def _shard_child(conn, payload: dict) -> None:
+def _shard_child(conn, cell: dict) -> None:
     """Entry point of a shard worker process."""
     try:
-        state = ShardState.from_payload(payload)
-        state.start()
+        unit = _start_unit(**cell)
         while True:
             message = conn.recv()
             command = message[0]
             if command == "step":
                 _, decisions, offset = message
-                conn.send(state.run_epoch(decisions, offset=offset))
+                conn.send(unit.run_epoch(decisions, offset))
             elif command == "finalize":
-                conn.send(asdict(state.finalize()))
+                conn.send(asdict(_summarize(unit)))
             elif command == "stop":
                 return
             else:  # pragma: no cover - protocol bug
@@ -914,19 +482,6 @@ def _shard_child(conn, payload: dict) -> None:
         conn.close()
 
 
-def run_sharded_cell(
-    spec: WorkloadSpec,
-    protocol: str,
-    n_shards: int,
-    *,
-    mp: bool = False,
-    **kwargs,
-) -> ShardedResult:
-    """One sharded (workload, protocol) cell: build, drive, judge."""
-    runtime = ShardedRuntime(spec, protocol, n_shards, **kwargs)
-    return runtime.run_mp() if mp else runtime.run()
-
-
 # ---------------------------------------------------------------------------
 # the single-core reference formatter
 # ---------------------------------------------------------------------------
@@ -937,7 +492,6 @@ def single_core_text(
     protocol: str,
     *,
     ablation: Ablation | None = None,
-    max_ticks: int = 200_000,
 ) -> str:
     """The canonical cell report of a plain single-core execution.
 
@@ -950,26 +504,17 @@ def single_core_text(
     events: list[dict] = []
     bus = EventBus()
     bus.subscribe(lambda event: events.append(event_to_dict(event)))
-    result = execute_cell(spec, protocol, max_ticks=max_ticks, bus=bus)
-    db = result.db
-    registry = db.commutativity_registry()
-    if ablation is not None:
-        registry = ablation.apply(registry)
-    projection = committed_projection(db.system, result.committed_labels)
-    verdict, _ = analyze_system(
-        projection, registry, propagate_cross_object=strictness_for(protocol)
-    )
-    oo_edges = _base_edges(verdict.top_order_constraints)
-    conv_edges = _base_edges(conventional_constraints(projection))
+    result = execute_cell(spec, protocol, max_ticks=CELL_MAX_TICKS, bus=bus)
     committed = sorted(base_label(label) for label in result.committed_labels)
-    report = OracleReport(
-        oo_serializable=verdict.oo_serializable,
-        conventional_serializable=conventional_serializable(projection),
-        oo_constraints=len(oo_edges),
-        conventional_constraints=len(conv_edges),
+    judgement = judge_history(
+        result.db, result.committed_labels, strictness_for(protocol), ablation
+    )
+    report = compose_report(
+        [judgement],
+        n_shards=1,
         committed=len(committed),
-        description="",
         gave_up=len(result.gave_up),
+        coord_violations=[],
     )
     return format_cell_report(
         seed=spec.seed,

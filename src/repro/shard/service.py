@@ -1,28 +1,34 @@
-"""The sharded backend of the transaction service (``--shards N``).
+"""The shard engine: one shard unit, one barrier loop, one Def 16 composition.
 
-:class:`ShardGroup` is the long-lived counterpart of the per-cell
-:class:`~repro.shard.runtime.ShardedRuntime`: N persistent shard databases
-and executors plus one :class:`~repro.shard.coordinator.Coordinator`,
-reused across engine batches.  The service's engine thread hands each
-batch of admitted requests to :meth:`run_batch`; the group splits every
-request's ops across the owning shards, registers multi-shard transactions
-with the coordinator, drives the barrier/epoch protocol until the batch
-drains, and merges each transaction's branch outcomes back into one
-:class:`~repro.runtime.executor.WorkerOutcome` the service settles like
-any single-core outcome.
+:class:`ShardState` is *the* per-shard unit — a shard's database,
+:class:`~repro.shard.executor.ShardExecutor`, clock offset and cumulative
+committed attempts.  A fresh unit driven for one batch of programs is a fuzz
+cell (:func:`repro.shard.runtime.run_sharded_cell`, in-process or one OS
+process per unit); a unit reused batch after batch is the service backend
+(:class:`ShardGroup`, ``--shards N``).
 
-The end-of-run oracle composes exactly like the fuzz cell's
-(:func:`~repro.shard.runtime.assemble_result`): every shard's cumulative
+Shards run in **bulk-synchronous epochs** (:func:`drive_epochs`): every unit
+drives its deterministic controller loop until quiescent (all programs
+finished, or every runnable worker parked on a ``2pc:`` key), then all meet
+at a barrier.  There the coordinator ingests each unit's cumulative votes
+and its current Definition 15 constraint edges (base-mapped, over
+committed-or-prepared transactions), runs the global Definition 16
+acyclicity check, and broadcasts verdicts; the units resume.  The barrier
+also aligns the logical clocks: the global tick is the max of every unit's
+``offset + now`` and the per-unit offsets are re-based to it.
+
+The verdict composes the same way for a cell and for a service run
+(:func:`compose_report`): objects never span shards, so every unit's
 committed projection must pass the local Def 10-14 analysis and the
-base-mapped union of their Definition 15 constraint sets must stay acyclic
-(Definition 16 at global scope).  The online per-batch certifier is a
-single-history device and stays disabled in sharded mode; :meth:`certify`
-is the audit surface instead.
+base-mapped union of their Definition 15 constraint sets must stay acyclic.
+The online per-batch certifier is a single-history device and stays disabled
+in sharded mode; :meth:`ShardGroup.certify` is the audit surface instead.
 """
 
 from __future__ import annotations
 
 from repro.analysis.compare import make_scheduler
+from repro.core.graph import OnlineTopology
 from repro.core.serializability import (
     analyze_system,
     conventional_constraints,
@@ -30,25 +36,340 @@ from repro.core.serializability import (
 )
 from repro.errors import SimulationError
 from repro.fuzz.generator import WorkloadSpec, build_workload
-from repro.fuzz.oracle import OracleReport, strictness_for
+from repro.fuzz.oracle import Ablation, OracleReport, strictness_for
+from repro.obs.events import EventBus, event_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.oodb.database import ObjectDatabase
 from repro.oodb.trace import committed_projection
-from repro.runtime.executor import RetryPolicy, WorkerOutcome, _DONE
-from repro.runtime.program import TransactionProgram
-from repro.shard.coordinator import ABORT, Coordinator
-from repro.shard.partition import ShardMap, split_ops
-from repro.shard.runtime import (
-    _SEED_STRIDE,
-    ShardExecutor,
-    _acyclic,
-    _base_edges,
-    base_label,
+from repro.runtime.executor import (
+    _DONE,
+    ExecutionResult,
+    RetryPolicy,
+    WorkerOutcome,
 )
+from repro.runtime.program import TransactionProgram, program_from_ops
+from repro.shard.coordinator import ABORT, Coordinator
+from repro.shard.executor import ShardExecutor, base_label
+from repro.shard.partition import ShardMap, split_ops
+
+#: seed stride between shards (shard 0 keeps the caller's seed verbatim —
+#: part of the 1-shard byte-identity contract)
+_SEED_STRIDE = 100_003
+
+#: coordinator rounds one batch may take before it is declared livelocked
+MAX_ROUNDS = 10_000
+
+
+# ---------------------------------------------------------------------------
+# the local (per-database) half of the verdict
+# ---------------------------------------------------------------------------
+
+
+def _base_edges(constraints) -> list:
+    """Map attempt-level constraint pairs to sorted base-label pairs."""
+    edges = {
+        (base_label(src), base_label(dst)) for src, dst in constraints
+    }
+    return sorted((src, dst) for src, dst in edges if src != dst)
+
+
+def _analysis(db, labels, strict: bool, ablation: Ablation | None):
+    """The Def 10-14 analysis of ``db``'s history projected onto ``labels``."""
+    registry = db.commutativity_registry()
+    if ablation is not None:
+        registry = ablation.apply(registry)
+    projection = committed_projection(db.system, labels)
+    verdict, _ = analyze_system(
+        projection, registry, propagate_cross_object=strict
+    )
+    return projection, verdict
+
+
+def judge_history(
+    db, labels, strict: bool, ablation: Ablation | None = None
+) -> tuple[bool, bool, list, list]:
+    """``(oo_ok, conv_ok, oo_edges, conv_edges)`` of one database's committed
+    history: the local verdicts plus the base-mapped Definition 15 (and
+    page-conflict) constraints that :func:`compose_report` unions."""
+    projection, verdict = _analysis(db, labels, strict, ablation)
+    return (
+        verdict.oo_serializable,
+        conventional_serializable(projection),
+        _base_edges(verdict.top_order_constraints),
+        _base_edges(conventional_constraints(projection)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the shard unit
+# ---------------------------------------------------------------------------
+
+
+class ShardState:
+    """Everything one shard owns: database, WAL segment, executor, events.
+
+    ``owned`` are the object specs the owner's :class:`ShardMap` assigned to
+    this shard; ``seed`` is the run's seed (the unit strides it by shard).
+    ``ablation`` weakens the registry behind :meth:`current_edges` — the
+    fuzz oracle's self-test; the service leaves it unset.
+    """
+
+    def __init__(
+        self,
+        shard_id: int,
+        spec: WorkloadSpec,
+        protocol: str,
+        owned: list,
+        *,
+        seed: int,
+        max_ticks: int,
+        retry_policy: RetryPolicy | None = None,
+        wal=None,
+        collect_events: bool = False,
+        ablation: Ablation | None = None,
+        faults=None,
+    ):
+        self.shard_id = shard_id
+        self.strict = strictness_for(protocol)
+        self.ablation = ablation
+        self.clock_offset = 0
+        self.status = "new"
+        self.events: list[dict] = []
+        #: base label -> committed attempt label, cumulative over batches
+        self.committed_attempts: dict[str, str] = {}
+        bus = None
+        if collect_events:
+            bus = EventBus()
+            bus.subscribe(
+                lambda event: self.events.append(event_to_dict(event))
+            )
+        self.db = ObjectDatabase(
+            scheduler=make_scheduler(protocol, spec.layers()),
+            page_capacity=4 * spec.key_space + 16,
+            wal=wal,
+            bus=bus,
+        )
+        build_workload(self.db, spec, objects=owned, programs=[])
+        self.executor = ShardExecutor(
+            self.db,
+            set(),
+            seed=seed + shard_id * _SEED_STRIDE,
+            max_ticks=max_ticks,
+            faults=faults,
+            retry_policy=retry_policy,
+        )
+        # The shard's events tell *global* time: local ticks plus the
+        # barrier-aligned offset.  At one shard the offset is always 0 and
+        # this is exactly the executor's own clock.
+        self.db.bus.clock = lambda: self.clock_offset + self.executor.now
+
+    # -- one batch: start, epochs, finish ------------------------------------
+
+    def start(self, programs: list[TransactionProgram], multi) -> None:
+        """Launch one batch; ``multi`` names its cross-shard transactions."""
+        self.executor.multi_labels.update(multi)
+        self.executor.start(programs)
+        self.status = "running"
+
+    def run_epoch(self, decisions: dict[str, str], offset: int) -> dict:
+        """Apply verdicts, run until quiescent, report to the coordinator."""
+        self.clock_offset = offset
+        ex = self.executor
+        before = self._progress()
+        ex.apply_decisions(decisions)
+        if self.status != "done":
+            self.status = ex._controller_loop()
+        failed: list[str] = []
+        if not ex.crashed:
+            failed = [
+                worker.program.label
+                for worker in ex._workers
+                if worker.program.label in ex.multi_labels
+                and worker.state == _DONE
+                and not worker.outcome.committed
+                and not worker.outcome.cross_abort
+            ]
+        return {
+            "shard": self.shard_id,
+            "status": self.status,
+            "advanced": self._progress() != before,
+            "prepared": sorted(ex.prepared_attempts),
+            "failed": sorted(failed),
+            "committed_local": sorted(
+                set(self.committed_attempts)
+                | {base_label(attempt) for attempt in self._committed_now()}
+            ),
+            "edges": self.current_edges(),
+            "crashed": ex.crashed,
+            "now": ex.now,
+        }
+
+    def finish(self) -> ExecutionResult:
+        """Join the batch's workers; fold its commits into the cumulative
+        map."""
+        result = self.executor.finish()
+        for attempt in result.committed_labels:
+            self.committed_attempts[base_label(attempt)] = attempt
+        return result
+
+    def _progress(self) -> tuple:
+        ex = self.executor
+        return ex.now, len(ex.prepared_attempts), len(self._committed_now())
+
+    def _committed_now(self) -> list[str]:
+        """Attempt labels the running batch has committed so far."""
+        return [
+            w.outcome.final_ctx.txn_id
+            for w in self.executor._workers
+            if w.outcome.committed and w.outcome.final_ctx is not None
+        ]
+
+    # -- Definitions 10-15, locally ------------------------------------------
+
+    def current_edges(self) -> list:
+        """The shard's Definition 15 constraints over committed ∪ prepared
+        transactions, mapped to base labels — what the coordinator feeds
+        into the global Definition 16 topology."""
+        ex = self.executor
+        labels = set(self.committed_attempts.values())
+        labels.update(self._committed_now())
+        for base, attempt in ex.prepared_attempts.items():
+            if ex.decisions.get(base) != ABORT:
+                labels.add(attempt)
+        _, verdict = _analysis(self.db, labels, self.strict, self.ablation)
+        return _base_edges(verdict.top_order_constraints)
+
+    def judge(self, ablation: Ablation | None = None):
+        """:func:`judge_history` of everything this shard has committed."""
+        return judge_history(
+            self.db,
+            set(self.committed_attempts.values()),
+            self.strict,
+            ablation,
+        )
+
+
+# ---------------------------------------------------------------------------
+# the barrier loop and the composed verdict
+# ---------------------------------------------------------------------------
+
+
+def drive_epochs(
+    step_all, coordinator: Coordinator, offsets: list[int]
+) -> int:
+    """Drive one batch to completion; returns the aligned global tick.
+
+    ``step_all(decisions, offsets)`` runs one epoch on every shard — each
+    applies the verdicts, runs until quiescent under its clock offset — and
+    returns their reports in shard order.  How the shards are reached (same
+    thread, worker processes) is the caller's business; the protocol is
+    this loop.  ``offsets`` is re-based in place at every barrier.
+    """
+    decisions: dict[str, str] = {}
+    rounds = 0
+    while True:
+        reports = step_all(decisions, offsets)
+        nows = [report["now"] for report in reports]
+        global_tick = max(
+            offset + now for offset, now in zip(offsets, nows)
+        )
+        offsets[:] = [global_tick - now for now in nows]
+        if all(report["status"] == "done" for report in reports):
+            return global_tick
+        decisions = coordinator.round(reports)
+        rounds += 1
+        if rounds > MAX_ROUNDS:
+            raise SimulationError(
+                f"sharded batch exceeded {MAX_ROUNDS} coordinator rounds "
+                f"(livelock?)"
+            )
+
+
+def step_in_process(units: list[ShardState]):
+    """The ``step_all`` of units living in this process: their epochs run
+    one after another on the calling thread (deterministic)."""
+    return lambda decisions, offsets: [
+        unit.run_epoch(decisions, offset)
+        for unit, offset in zip(units, offsets)
+    ]
+
+
+def _acyclic(edges) -> bool:
+    topology: OnlineTopology[str] = OnlineTopology()
+    for src, dst in edges:
+        topology.add_edge_checked(src, dst)
+    return not topology.has_cycle
+
+
+def compose_report(
+    judgements: list,
+    *,
+    n_shards: int,
+    committed: int,
+    gave_up: int,
+    coord_violations: list,
+    atomicity: list[str] | tuple = (),
+) -> OracleReport:
+    """Definition 16 at global scope, from the per-shard halves.
+
+    Objects never span shards, so the merged system's object schedules are
+    exactly the per-shard ones; given each shard's :func:`judge_history`
+    tuple the sharded verdict is therefore
+
+    - every shard's committed projection passes the local Def 10-14
+      analysis (per-protocol strictness), AND
+    - the union of the shards' Definition 15 constraint sets (base-mapped)
+      is acyclic (Definition 16 at global scope), AND
+    - atomicity held (``atomicity`` lists the breaches), AND
+    - the coordinator never witnessed a committed-only cycle.
+
+    The conventional baseline composes the same way over page-conflict
+    constraints.
+    """
+    oo_edges = sorted({tuple(e) for j in judgements for e in j[2]})
+    conv_edges = sorted({tuple(e) for j in judgements for e in j[3]})
+    oo_ok = (
+        all(j[0] for j in judgements)
+        and _acyclic(oo_edges)
+        and not coord_violations
+        and not atomicity
+    )
+    conv_ok = all(j[1] for j in judgements) and _acyclic(conv_edges)
+    parts = [
+        f"{committed} committed across {n_shards} shard(s)",
+        "globally oo-serializable" if oo_ok else "OO-SERIALIZABILITY VIOLATED",
+    ]
+    if atomicity:
+        parts.append(f"{len(atomicity)} atomicity violation(s)")
+    if coord_violations:
+        parts.append(f"{len(coord_violations)} committed cycle(s)")
+    return OracleReport(
+        oo_serializable=oo_ok,
+        conventional_serializable=conv_ok,
+        oo_constraints=len(oo_edges),
+        conventional_constraints=len(conv_edges),
+        committed=committed,
+        description="; ".join(parts),
+        gave_up=gave_up,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the service backend
+# ---------------------------------------------------------------------------
 
 
 class ShardGroup:
-    """N persistent shards + one coordinator behind the service engine."""
+    """N long-lived shard units + one coordinator behind the service engine.
+
+    The engine thread hands each batch of admitted requests to
+    :meth:`run_batch`; the group splits every request's ops across the
+    owning shards, registers multi-shard transactions with the coordinator,
+    drives the epochs until the batch drains, and merges each transaction's
+    branch outcomes back into one
+    :class:`~repro.runtime.executor.WorkerOutcome` the service settles like
+    any single-core outcome.
+    """
 
     def __init__(
         self,
@@ -59,47 +380,27 @@ class ShardGroup:
         seed: int = 0,
         max_ticks: int = 500_000,
         retry_policy: RetryPolicy | None = None,
-        join_timeout: float = 30.0,
-        max_rounds: int = 10_000,
     ):
-        self.spec = spec
-        self.protocol = protocol
         self.n_shards = n_shards
-        self.strict = strictness_for(protocol)
-        self.max_rounds = max_rounds
         self.shard_map = ShardMap.plan(spec, n_shards)
         self.coordinator = Coordinator({})
         #: service-level metrics registry (per-shard databases keep their
         #: own; the service's engine/admission counters live here)
         self.metrics = MetricsRegistry()
-        self.dbs: list[ObjectDatabase] = []
-        self.executors: list[ShardExecutor] = []
-        self.clock_offsets = [0] * n_shards
-        #: per shard: base label -> committed attempt label, cumulative
-        self.committed_attempts: list[dict[str, str]] = [
-            {} for _ in range(n_shards)
-        ]
-        for shard in range(n_shards):
-            db = ObjectDatabase(
-                scheduler=make_scheduler(protocol, spec.layers()),
-                page_capacity=4 * spec.key_space + 16,
-            )
-            build_workload(
-                db, spec, objects=self.shard_map.owned(shard, spec), programs=[]
-            )
-            executor = ShardExecutor(
-                db,
-                set(),
-                seed=seed + shard * _SEED_STRIDE,
+        self.units = [
+            ShardState(
+                shard,
+                spec,
+                protocol,
+                self.shard_map.owned(shard, spec),
+                seed=seed,
                 max_ticks=max_ticks,
-                retry_policy=retry_policy or RetryPolicy(),
-                join_timeout=join_timeout,
+                retry_policy=retry_policy,
             )
-            db.bus.clock = (
-                lambda s=shard: self.clock_offsets[s] + self.executors[s].now
-            )
-            self.dbs.append(db)
-            self.executors.append(executor)
+            for shard in range(n_shards)
+        ]
+        self.dbs = [unit.db for unit in self.units]
+        self.clock_offsets = [0] * n_shards
 
     # -- the catalog surface the service validates against -------------------
 
@@ -114,34 +415,11 @@ class ShardGroup:
     def now(self) -> int:
         """The group's logical clock: the barrier-aligned global maximum."""
         return max(
-            offset + executor.now
-            for offset, executor in zip(self.clock_offsets, self.executors)
+            offset + unit.executor.now
+            for offset, unit in zip(self.clock_offsets, self.units)
         )
 
     # -- batch execution (engine thread only) ---------------------------------
-
-    def _branch_program(
-        self,
-        label: str,
-        ops: list,
-        *,
-        max_restarts: int,
-        deadline_tick: int | None,
-    ) -> TransactionProgram:
-        def body(api, ops=tuple(tuple(op) for op in ops)):
-            for op in ops:
-                if op[0] == "send":
-                    api.send(op[1], op[2], int(op[3]), int(op[4]))
-                else:
-                    api.work(int(op[1]))
-
-        return TransactionProgram(
-            label,
-            body,
-            max_restarts=max_restarts,
-            kind="service",
-            deadline_tick=deadline_tick,
-        )
 
     def run_batch(self, requests: list[dict]) -> dict[str, WorkerOutcome]:
         """Execute one batch of admitted requests across the shards.
@@ -149,140 +427,44 @@ class ShardGroup:
         Each request dict carries ``label``, ``ops``, ``max_restarts`` and
         ``deadline_ticks``.  Returns one merged outcome per label.
         """
-        per_shard: dict[int, list[TransactionProgram]] = {
-            shard: [] for shard in range(self.n_shards)
-        }
+        per_shard: list[list[TransactionProgram]] = [
+            [] for _ in range(self.n_shards)
+        ]
         multi: dict[str, tuple[int, ...]] = {}
-        shards_of: dict[str, list[int]] = {}
         for request in requests:
             split = split_ops(request["ops"], self.shard_map)
-            shards = sorted(split)
-            shards_of[request["label"]] = shards
-            if len(shards) > 1:
-                multi[request["label"]] = tuple(shards)
-            for shard in shards:
-                budget = request.get("deadline_ticks")
+            if len(split) > 1:
+                multi[request["label"]] = tuple(sorted(split))
+            budget = request.get("deadline_ticks")
+            for shard in sorted(split):
                 per_shard[shard].append(
-                    self._branch_program(
+                    program_from_ops(
                         request["label"],
                         split[shard],
                         max_restarts=request["max_restarts"],
+                        kind="service",
                         deadline_tick=(
-                            self.executors[shard].now + int(budget)
+                            self.units[shard].executor.now + int(budget)
                             if budget is not None
                             else None
                         ),
                     )
                 )
         self.coordinator.register(multi)
-        for shard, executor in enumerate(self.executors):
-            executor.multi_labels.update(multi)
-            executor.start(per_shard[shard])
-
-        decisions_delta: dict[str, str] = {}
-        rounds = 0
-        while True:
-            reports = [
-                self._run_epoch(shard, decisions_delta)
-                for shard in range(self.n_shards)
-            ]
-            global_tick = max(
-                offset + executor.now
-                for offset, executor in zip(self.clock_offsets, self.executors)
-            )
-            self.clock_offsets = [
-                global_tick - executor.now for executor in self.executors
-            ]
-            if all(report["status"] == "done" for report in reports):
-                break
-            decisions_delta = self.coordinator.round(reports)
-            rounds += 1
-            if rounds > self.max_rounds:
-                raise SimulationError(
-                    f"sharded service batch exceeded {self.max_rounds} "
-                    f"coordinator rounds (livelock?)"
-                )
-
+        for unit, programs in zip(self.units, per_shard):
+            unit.start(programs, multi)
+        drive_epochs(
+            step_in_process(self.units), self.coordinator, self.clock_offsets
+        )
         outcomes: dict[str, WorkerOutcome] = {}
-        for shard, executor in enumerate(self.executors):
-            result = executor.finish()
-            for outcome in result.outcomes:
-                if outcome.committed and outcome.final_ctx is not None:
-                    self.committed_attempts[shard][
-                        base_label(outcome.final_ctx.txn_id)
-                    ] = outcome.final_ctx.txn_id
-                self._merge(outcomes, outcome, shards_of[outcome.label])
+        for unit in self.units:
+            for outcome in unit.finish().outcomes:
+                self._merge(outcomes, outcome)
         return outcomes
 
-    def _run_epoch(self, shard: int, decisions: dict[str, str]) -> dict:
-        executor = self.executors[shard]
-        before = (
-            executor.now,
-            len(executor.prepared_attempts),
-            sum(1 for w in executor._workers if w.outcome.committed),
-        )
-        executor.apply_decisions(decisions)
-        status = (
-            executor._controller_loop()
-            if any(w.state != _DONE for w in executor._workers)
-            else "done"
-        )
-        failed = sorted(
-            w.program.label
-            for w in executor._workers
-            if w.program.label in self.coordinator.multi
-            and w.state == _DONE
-            and not w.outcome.committed
-            and not w.outcome.cross_abort
-        )
-        committed_now = {
-            base_label(w.outcome.final_ctx.txn_id)
-            for w in executor._workers
-            if w.outcome.committed and w.outcome.final_ctx is not None
-        }
-        return {
-            "shard": shard,
-            "status": status,
-            "advanced": (
-                executor.now,
-                len(executor.prepared_attempts),
-                sum(1 for w in executor._workers if w.outcome.committed),
-            )
-            != before,
-            "prepared": sorted(executor.prepared_attempts),
-            "failed": failed,
-            "committed_local": sorted(
-                set(self.committed_attempts[shard]) | committed_now
-            ),
-            "edges": self._edges(shard),
-            "crashed": executor.crashed,
-            "now": executor.now,
-        }
-
-    def _edges(self, shard: int) -> list:
-        """The shard's cumulative Def 15 constraints, base-mapped."""
-        executor = self.executors[shard]
-        labels = set(self.committed_attempts[shard].values())
-        for worker in executor._workers:
-            outcome = worker.outcome
-            if outcome.committed and outcome.final_ctx is not None:
-                labels.add(outcome.final_ctx.txn_id)
-        for base, attempt in executor.prepared_attempts.items():
-            if executor.decisions.get(base) != ABORT:
-                labels.add(attempt)
-        projection = committed_projection(self.dbs[shard].system, labels)
-        verdict, _ = analyze_system(
-            projection,
-            self.dbs[shard].commutativity_registry(),
-            propagate_cross_object=self.strict,
-        )
-        return _base_edges(verdict.top_order_constraints)
-
+    @staticmethod
     def _merge(
-        self,
-        outcomes: dict[str, WorkerOutcome],
-        branch: WorkerOutcome,
-        shards: list[int],
+        outcomes: dict[str, WorkerOutcome], branch: WorkerOutcome
     ) -> None:
         """Fold one branch outcome into the transaction's merged outcome.
 
@@ -293,11 +475,9 @@ class ShardGroup:
         none; a disagreement here would be an atomicity bug, and shows up
         as a non-committed merge, never a phantom commit).
         """
-        label = branch.label
-        if len(shards) <= 1 or label not in outcomes:
-            outcomes[label] = branch
+        merged = outcomes.setdefault(branch.label, branch)
+        if merged is branch:
             return
-        merged = outcomes[label]
         merged.committed = merged.committed and branch.committed
         merged.attempts = max(merged.attempts, branch.attempts)
         merged.gave_up = merged.gave_up or branch.gave_up
@@ -313,60 +493,26 @@ class ShardGroup:
 
     # -- the composed oracle --------------------------------------------------
 
-    def certify(self, ablation=None) -> OracleReport:
-        """Judge the whole service run with the composed sharded oracle."""
-        oo_ok = True
-        conv_ok = True
-        oo_edges: set = set()
-        conv_edges: set = set()
+    def certify(self, ablation=None, *, gave_up: int = 0) -> OracleReport:
+        """Judge the whole service run with the composed sharded oracle.
+
+        ``gave_up`` is the caller's count of requests that gave up (the
+        group only keeps commits)."""
         committed: set[str] = set()
-        for shard in range(self.n_shards):
-            committed.update(self.committed_attempts[shard])
-            registry = self.dbs[shard].commutativity_registry()
-            if ablation is not None:
-                registry = ablation.apply(registry)
-            projection = committed_projection(
-                self.dbs[shard].system,
-                set(self.committed_attempts[shard].values()),
-            )
-            verdict, _ = analyze_system(
-                projection, registry, propagate_cross_object=self.strict
-            )
-            oo_ok = oo_ok and verdict.oo_serializable
-            conv_ok = conv_ok and conventional_serializable(projection)
-            oo_edges.update(
-                tuple(e) for e in _base_edges(verdict.top_order_constraints)
-            )
-            conv_edges.update(
-                tuple(e) for e in _base_edges(conventional_constraints(projection))
-            )
-        oo_ok = (
-            oo_ok and _acyclic(oo_edges) and not self.coordinator.violations
-        )
-        conv_ok = conv_ok and _acyclic(conv_edges)
-        description = (
-            f"{len(committed)} committed across {self.n_shards} shard(s); "
-            + (
-                "globally oo-serializable"
-                if oo_ok
-                else "OO-SERIALIZABILITY VIOLATED"
-            )
-        )
-        return OracleReport(
-            oo_serializable=oo_ok,
-            conventional_serializable=conv_ok,
-            oo_constraints=len(oo_edges),
-            conventional_constraints=len(conv_edges),
+        for unit in self.units:
+            committed.update(unit.committed_attempts)
+        return compose_report(
+            [unit.judge(ablation) for unit in self.units],
+            n_shards=self.n_shards,
             committed=len(committed),
-            description=description,
-            gave_up=0,
+            gave_up=gave_up,
+            coord_violations=self.coordinator.violations,
         )
 
     def stats(self) -> dict:
         """Coordinator counters plus per-shard commit tallies."""
         stats = self.coordinator.stats()
         stats["shards"] = {
-            shard: len(self.committed_attempts[shard])
-            for shard in range(self.n_shards)
+            unit.shard_id: len(unit.committed_attempts) for unit in self.units
         }
         return stats

@@ -1,0 +1,86 @@
+"""Byte-pin of :class:`ShardGroup` behaviour across batches.
+
+``run_batch`` is driven directly (no engine thread, no admission) over
+seeded request batches that include cross-shard transactions; the canonical
+transcript — per-batch outcomes, the group clock, the coordinator counters,
+and the composed verdict at the end — must match
+``tests/data/shard_group_transcript.txt`` byte for byte.  The file was
+generated before the shard layer was collapsed to one unit / one barrier
+loop, so it is the comparison between the two shapes.
+"""
+
+import pathlib
+import random
+
+from repro.fuzz.generator import GeneratorProfile, generate
+from repro.service.client import generate_ops
+from repro.shard.service import ShardGroup
+
+EXPECTED = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "data"
+    / "shard_group_transcript.txt"
+)
+PROTOCOLS = ("page-2pl", "open-nested-oo")
+SEED = 7
+BATCHES = 6
+BATCH_SIZE = 6
+
+
+def _transcript(protocol: str) -> list[str]:
+    spec = generate(SEED, GeneratorProfile().grouped(2))
+    group = ShardGroup(spec, protocol, 2, seed=SEED)
+    catalog = {
+        ospec.name: {"methods": [plan.name for plan in ospec.methods]}
+        for ospec in spec.objects
+    }
+    rng = random.Random(repr((SEED, protocol, "transcript")))
+    lines = [f"protocol {protocol}"]
+    cross = 0
+    for batch in range(BATCHES):
+        requests = []
+        for i in range(BATCH_SIZE):
+            ops = generate_ops(rng, catalog)
+            shards = {
+                group.shard_map.shard_of(op[1]) for op in ops if op[0] == "send"
+            }
+            cross += len(shards) > 1
+            requests.append(
+                {
+                    "label": f"t{i % 2}/txn#{batch * BATCH_SIZE + i}",
+                    "ops": ops,
+                    "max_restarts": 20,
+                    "deadline_ticks": 4000,
+                }
+            )
+        outcomes = group.run_batch(requests)
+        lines.append(f"batch {batch} now={group.now}")
+        for label in sorted(outcomes):
+            outcome = outcomes[label]
+            lines.append(
+                f"  {label} committed={outcome.committed} "
+                f"attempts={outcome.attempts} "
+                f"cross_abort={outcome.cross_abort}"
+            )
+        stats = group.coordinator.stats()
+        lines.append(
+            "  coordinator "
+            + " ".join(f"{key}={stats[key]}" for key in sorted(stats))
+        )
+    assert cross > 0, "the batches must include cross-shard requests"
+    report = group.certify()
+    lines.append(
+        f"certify oo={report.oo_serializable} "
+        f"conv={report.conventional_serializable} "
+        f"oo-constraints={report.oo_constraints} "
+        f"conv-constraints={report.conventional_constraints} "
+        f"committed={report.committed}"
+    )
+    return lines
+
+
+def test_group_transcript_is_byte_identical():
+    lines = []
+    for protocol in PROTOCOLS:
+        lines.extend(_transcript(protocol))
+    assert "\n".join(lines) + "\n" == EXPECTED.read_text()

@@ -12,10 +12,10 @@ from repro.faults.plan import FaultPlan
 from repro.fuzz.generator import GeneratorProfile, generate
 from repro.oodb.wal import WriteAheadLog
 from repro.shard import (
-    ShardedRuntime,
     in_doubt_attempts,
     load_decisions,
     resolve_segments,
+    run_sharded_cell,
 )
 from repro.shard.coordinator import COMMIT
 
@@ -53,7 +53,7 @@ class TestCrashBetweenPrepareAndCommit:
         shard's own prepare record are durable."""
         data_dir = str(tmp_path / "segments")
         spec = generate(11, GROUPED)
-        runtime = ShardedRuntime(
+        result = run_sharded_cell(
             spec,
             "page-2pl",
             2,
@@ -62,7 +62,6 @@ class TestCrashBetweenPrepareAndCommit:
                 FaultPlan.crash_plan("2pc.commit", 0) if shard == 0 else None
             ),
         )
-        result = runtime.run()
         return spec, data_dir, result
 
     def test_crash_is_witnessed_and_excused(self, crashed_run):

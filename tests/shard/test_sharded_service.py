@@ -77,6 +77,15 @@ class TestShardedService:
         assert svc.audit()["ok"]
         assert not svc.certify().violation
 
+    def test_certify_reports_requests_that_gave_up(self, svc):
+        assert svc.submit("acme", _ops(svc))["status"] == "committed"
+        late = svc.submit("acme", _ops(svc, n=3), deadline_ticks=1)
+        assert (late["status"], late["reason"]) == ("gave_up", "deadline")
+        svc.stop()
+        report = svc.certify()
+        assert not report.violation
+        assert (report.committed, report.gave_up) == (1, 1)
+
     def test_invalid_requests_are_rejected_up_front(self, svc):
         assert svc.submit("acme", [["send", "ghost", "m", 0, 1]])[
             "status"

@@ -44,6 +44,14 @@ def test_runner_exits_nonzero_when_verification_fails(monkeypatch, capsys):
     assert "FAIL bench_fig2_structure.py" in capsys.readouterr().err
 
 
+def test_runner_rejects_a_pattern_matching_no_module(capsys):
+    harness = _harness()
+    assert harness.main(["fig2", "fgi4"]) == 2
+    captured = capsys.readouterr()
+    assert "'fgi4'" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_runner_counts_every_failing_module(monkeypatch):
     harness = _harness()
     monkeypatch.setattr(
