@@ -187,7 +187,9 @@ def crash_census(
         db, programs = _build_db(
             spec, protocol, wal=WriteAheadLog(), faults=plan
         )
-        executor = InterleavedExecutor(db, seed=spec.seed, max_ticks=max_ticks)
+        executor = InterleavedExecutor(
+            db, seed=spec.seed, max_ticks=max_ticks, faults=plan
+        )
         executor.run(programs)
         return dict(plan.counts)
     with tempfile.TemporaryDirectory(prefix="repro-census-") as root:
@@ -200,7 +202,9 @@ def crash_census(
             store=store,
             checkpoint_every=durable.checkpoint_every,
         )
-        executor = InterleavedExecutor(db, seed=spec.seed, max_ticks=max_ticks)
+        executor = InterleavedExecutor(
+            db, seed=spec.seed, max_ticks=max_ticks, faults=plan
+        )
         executor.run(programs)
     return dict(plan.counts)
 

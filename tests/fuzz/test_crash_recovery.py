@@ -45,6 +45,28 @@ class TestCrashCells:
         assert census.get("page-write.before", 0) > 0
         assert census.get("commit.before", 0) > 0
 
+    def test_census_counts_wakeups(self):
+        """The census executor consults the counting plan too, so lock
+        waits show up as ``wakeup`` hits the armed pass can drop."""
+        census = crash_census(generate(0, SMOKE), "page-2pl")
+        assert census.get("wakeup", 0) > 0
+
+    def test_census_arms_dropped_wakeups(self):
+        armed = [
+            plan
+            for seed in range(12)
+            for protocol in ("page-2pl", "open-nested-oo")
+            for census in [crash_census(generate(seed, SMOKE), protocol)]
+            for site in ARMED_SITES
+            for plan in [
+                FaultPlan.from_census(
+                    seed, census, site=site, sites=ARMED_SITES
+                )
+            ]
+            if plan is not None
+        ]
+        assert any(plan.drop_wakeups_at for plan in armed)
+
     @pytest.mark.parametrize("protocol", ["open-nested-oo", "page-2pl"])
     def test_armed_cell_recovers_cleanly(self, protocol):
         spec = generate(0, SMOKE)
