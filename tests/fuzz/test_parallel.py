@@ -7,7 +7,14 @@ errors, same early-stop point.  These tests run both modes and compare
 the results structurally (the CLI layer then renders identical bytes).
 """
 
-from repro.fuzz.crash import run_crash_campaign, run_seed_crash_cells
+from pathlib import Path
+
+from repro.analysis import render_table
+from repro.fuzz.crash import (
+    DurableConfig,
+    run_crash_campaign,
+    run_seed_crash_cells,
+)
 from repro.fuzz.driver import run_campaign, run_seed_cells
 from repro.fuzz.generator import GeneratorProfile
 from repro.fuzz.parallel import iter_seed_results
@@ -88,6 +95,30 @@ def test_crash_campaign_parallel_equals_serial():
         (v.seed, v.protocol, v.site, v.outcome, v.counterexample)
         for v in parallel.violations
     ]
+
+
+def _crash_table(campaign, suffix=""):
+    header, rows = campaign.table()
+    title = (
+        f"crash campaign, {campaign.seeds_run} seed(s), "
+        f"{campaign.crash_runs} crash run(s){suffix}"
+    )
+    return render_table(header, rows, title=title)
+
+
+def test_crash_campaign_matches_pinned_tables():
+    """The crash-campaign tables (all five protocols, every armed site) are
+    pinned byte for byte: smoke seeds 0-3 in memory, 0-1 on the durable
+    store.  Sharded over two workers — ``--jobs`` is invisible."""
+    memory = run_crash_campaign(seeds=[0, 1, 2, 3], profile=SMOKE, jobs=2)
+    durable = run_crash_campaign(
+        seeds=[0, 1], profile=SMOKE, durable=DurableConfig(), jobs=2
+    )
+    text = "\n".join(
+        [_crash_table(memory), _crash_table(durable, " [durable store]"), ""]
+    )
+    baseline = Path(__file__).parent.parent / "data" / "crash_smoke_baseline.txt"
+    assert text == baseline.read_text()
 
 
 def test_seed_workers_are_deterministic():
