@@ -1241,9 +1241,9 @@ def cmd_load(args) -> int:
     fault_plan_for = None
     if args.faults:
 
-        def fault_plan_for(tenant, idx, n_requests):
-            client_seed = hash((args.seed, tenant, idx)) & 0x7FFFFFFF
-            return ServiceFaultPlan.from_seed(client_seed, n_requests)
+        fault_plan_for = functools.partial(
+            ServiceFaultPlan.for_client, args.seed
+        )
 
     report = run_load(
         args.host,

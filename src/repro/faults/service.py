@@ -95,7 +95,7 @@ class ServiceFaultPlan:
 
     @staticmethod
     def from_seed(
-        seed: int,
+        seed: int | tuple,
         n_requests: int,
         *,
         p_slow: float = 0.15,
@@ -110,7 +110,9 @@ class ServiceFaultPlan:
         Each request slot independently draws each fault kind with the
         given probability, from an RNG seeded on ``(seed, "service-faults")``
         — disjoint from the workload generator's stream, so arming faults
-        never perturbs the generated programs.
+        never perturbs the generated programs.  The seed enters through its
+        ``repr`` (never ``hash()``, which is salted per process for strings),
+        so any tuple of ints and strings is a reproducible seed.
         """
         rng = random.Random((seed, "service-faults").__repr__())
         slow, stall, disconnect, burst = set(), set(), set(), set()
@@ -130,6 +132,16 @@ class ServiceFaultPlan:
             burst_at=frozenset(burst),
             slow_delay_s=slow_delay_s,
             burst_size=burst_size,
+        )
+
+    @staticmethod
+    def for_client(
+        seed: int, tenant: str, idx: int, n_requests: int, **knobs
+    ) -> "ServiceFaultPlan":
+        """A distinct deterministic plan per client thread of a load run:
+        the client's identity is folded into the plan seed."""
+        return ServiceFaultPlan.from_seed(
+            (seed, tenant, idx), n_requests, **knobs
         )
 
     def to_dict(self) -> dict:

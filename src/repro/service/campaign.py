@@ -161,11 +161,8 @@ def run_service_cell(
             def fault_plan_for(tenant, idx, n_requests):
                 if not with_faults:
                     return None
-                # A distinct deterministic plan per client thread: fold the
-                # client identity into the plan seed.
-                client_seed = hash((seed, tenant, idx)) & 0x7FFFFFFF
-                return ServiceFaultPlan.from_seed(
-                    client_seed, n_requests, slow_delay_s=0.02
+                return ServiceFaultPlan.for_client(
+                    seed, tenant, idx, n_requests, slow_delay_s=0.02
                 )
 
             report = run_load(

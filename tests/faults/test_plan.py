@@ -165,6 +165,42 @@ class TestServiceFaultPlan:
         }
         assert len(plans) > 1
 
+    def test_client_plan_is_reproducible_across_processes(self):
+        """The per-client seed folds a *string* tenant in; it must enter the
+        RNG through ``repr``, never the per-process salted ``hash()``."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        plan = ServiceFaultPlan.for_client(3, "alpha", 0, n_requests=6)
+        assert plan.to_dict() == {
+            "slow_at": [],
+            "stall_at": [],
+            "disconnect_at": [],
+            "burst_at": [1],
+            "slow_delay_s": 0.05,
+            "burst_size": 4,
+        }
+        printed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.faults import ServiceFaultPlan; print("
+                "ServiceFaultPlan.for_client(3, 'alpha', 0, n_requests=6)"
+                ".to_dict())",
+            ],
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(__file__).parents[2] / "src"),
+                "PYTHONHASHSEED": "12345",
+            },
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert printed.strip() == repr(plan.to_dict())
+
     def test_none_is_unarmed_and_round_trip_rearms(self):
         assert not ServiceFaultPlan.none().armed
         plan = ServiceFaultPlan.from_seed(5, 30)
