@@ -134,6 +134,7 @@ class ShardState:
         self.ablation = ablation
         self.clock_offset = 0
         self.status = "new"
+        self._coordinates = False
         self.events: list[dict] = []
         #: base label -> committed attempt label, cumulative over batches
         self.committed_attempts: dict[str, str] = {}
@@ -168,6 +169,11 @@ class ShardState:
     def start(self, programs: list[TransactionProgram], multi) -> None:
         """Launch one batch; ``multi`` names its cross-shard transactions."""
         self.executor.multi_labels.update(multi)
+        # No cross-shard transaction, no barrier: nothing parks on a
+        # ``2pc:`` key, so the batch drains in one epoch and nobody reads
+        # its Def 15 report.  Edges are cumulative — the next batch that
+        # does coordinate still sends them all.
+        self._coordinates = bool(multi)
         self.executor.start(programs)
         self.status = "running"
 
@@ -199,7 +205,7 @@ class ShardState:
                 set(self.committed_attempts)
                 | {base_label(attempt) for attempt in self._committed_now()}
             ),
-            "edges": self.current_edges(),
+            "edges": self.current_edges() if self._coordinates else [],
             "crashed": ex.crashed,
             "now": ex.now,
         }

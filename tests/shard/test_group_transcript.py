@@ -27,13 +27,30 @@ BATCHES = 6
 BATCH_SIZE = 6
 
 
-def _transcript(protocol: str) -> list[str]:
-    spec = generate(SEED, GeneratorProfile().grouped(2))
-    group = ShardGroup(spec, protocol, 2, seed=SEED)
-    catalog = {
+def _catalog(spec) -> dict:
+    return {
         ospec.name: {"methods": [plan.name for plan in ospec.methods]}
         for ospec in spec.objects
     }
+
+
+def _shards_of(group: ShardGroup, ops: list) -> set[int]:
+    return {group.shard_map.shard_of(op[1]) for op in ops if op[0] == "send"}
+
+
+def _request(tenant: int, number: int, ops: list) -> dict:
+    return {
+        "label": f"t{tenant}/txn#{number}",
+        "ops": ops,
+        "max_restarts": 20,
+        "deadline_ticks": 4000,
+    }
+
+
+def _transcript(protocol: str) -> list[str]:
+    spec = generate(SEED, GeneratorProfile().grouped(2))
+    group = ShardGroup(spec, protocol, 2, seed=SEED)
+    catalog = _catalog(spec)
     rng = random.Random(repr((SEED, protocol, "transcript")))
     lines = [f"protocol {protocol}"]
     cross = 0
@@ -41,18 +58,8 @@ def _transcript(protocol: str) -> list[str]:
         requests = []
         for i in range(BATCH_SIZE):
             ops = generate_ops(rng, catalog)
-            shards = {
-                group.shard_map.shard_of(op[1]) for op in ops if op[0] == "send"
-            }
-            cross += len(shards) > 1
-            requests.append(
-                {
-                    "label": f"t{i % 2}/txn#{batch * BATCH_SIZE + i}",
-                    "ops": ops,
-                    "max_restarts": 20,
-                    "deadline_ticks": 4000,
-                }
-            )
+            cross += len(_shards_of(group, ops)) > 1
+            requests.append(_request(i % 2, batch * BATCH_SIZE + i, ops))
         outcomes = group.run_batch(requests)
         lines.append(f"batch {batch} now={group.now}")
         for label in sorted(outcomes):
@@ -84,3 +91,40 @@ def test_group_transcript_is_byte_identical():
     for protocol in PROTOCOLS:
         lines.extend(_transcript(protocol))
     assert "\n".join(lines) + "\n" == EXPECTED.read_text()
+
+
+def test_batches_without_cross_shard_requests_skip_the_def15_report(
+    monkeypatch,
+):
+    """No cross-shard transaction, no barrier: ``run_batch`` must not pay
+    for a from-scratch Definition 15 extraction nobody reads."""
+    from repro.shard import service as shard_service
+
+    analyses = []
+    real = shard_service._analysis
+    monkeypatch.setattr(
+        shard_service,
+        "_analysis",
+        lambda *args: analyses.append(args) or real(*args),
+    )
+    for n_shards in (1, 2):
+        spec = generate(SEED, GeneratorProfile().grouped(n_shards))
+        group = ShardGroup(spec, "open-nested-oo", n_shards, seed=SEED)
+        catalog = _catalog(spec)
+        rng = random.Random(repr((SEED, n_shards, "single-shard")))
+        committed = 0
+        for batch in range(3):
+            requests = []
+            while len(requests) < BATCH_SIZE:
+                ops = generate_ops(rng, catalog)
+                if len(_shards_of(group, ops)) == 1:
+                    requests.append(
+                        _request(0, batch * BATCH_SIZE + len(requests), ops)
+                    )
+            outcomes = group.run_batch(requests)
+            committed += sum(o.committed for o in outcomes.values())
+        assert committed > 0
+        assert analyses == []
+        assert group.coordinator.stats()["rounds"] == 0
+    assert not group.certify().violation
+    assert analyses, "the audit surface still runs the analysis"
