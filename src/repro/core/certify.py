@@ -512,18 +512,3 @@ def certify_history(
             result, ablation, strict_cross_object=strict_cross_object
         )
     return report
-
-
-def judge_history(
-    result: "ExecutionResult",
-    ablation: "Ablation | None" = None,
-    *,
-    strict_cross_object: bool = True,
-) -> bool:
-    """``certify_history(...).violation``, skipping the canonical report."""
-    return certify_history(
-        result,
-        ablation,
-        strict_cross_object=strict_cross_object,
-        with_oracle=False,
-    ).violation

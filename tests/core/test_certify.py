@@ -17,7 +17,6 @@ from repro.core.certify import (
     ESCALATE_WINDOW,
     CertificationReport,
     certify_history,
-    judge_history,
 )
 from repro.fuzz.driver import execute_cell
 from repro.fuzz.generator import GeneratorProfile, generate
@@ -105,9 +104,9 @@ class TestFastPath:
                 generate(2, GeneratorProfile.smoke()), protocol
             )
             strict = strictness_for(protocol)
-            assert judge_history(
-                result, strict_cross_object=strict
-            ) == check_history(
+            assert certify_history(
+                result, strict_cross_object=strict, with_oracle=False
+            ).violation == check_history(
                 result, strict_cross_object=strict
             ).violation
 
