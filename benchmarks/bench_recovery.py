@@ -36,13 +36,13 @@ from _harness import emit, write_trajectory
 from repro.analysis import render_table
 from repro.core.commutativity import MatrixCommutativity
 from repro.faults import FaultPlan
-from repro.fuzz.crash import _build_db, crash_census
-from repro.fuzz.generator import GeneratorProfile, generate
+from repro.fuzz.crash import crash_census
+from repro.fuzz.driver import execute_cell
+from repro.fuzz.generator import GeneratorProfile, generate, host_workload
 from repro.locking import OpenNestedLocking
 from repro.oodb import DatabaseObject, ObjectDatabase, dbmethod
 from repro.oodb.store import FileBackedPageStore
 from repro.oodb.wal import WriteAheadLog, recover, store_digest
-from repro.runtime.executor import InterleavedExecutor
 
 SITE = "page-write.after"
 
@@ -63,9 +63,7 @@ def _crashed_wal(profile: GeneratorProfile, seed: int = 3):
         return spec, None
     plan = FaultPlan.crash_plan(SITE, occurrences - 1)
     wal = WriteAheadLog()
-    db, programs = _build_db(spec, "open-nested-oo", wal=wal, faults=plan)
-    executor = InterleavedExecutor(db, seed=spec.seed, faults=plan)
-    result = executor.run(programs)
+    result = execute_cell(spec, "open-nested-oo", wal=wal, faults=plan)
     return spec, (wal if result.crashed else None)
 
 
@@ -77,13 +75,13 @@ def run_recovery_bench():
         if wal is None:
             continue
         records = wal.to_list()
-        db, _ = _build_db(spec)
+        db, _, _ = host_workload(spec)
         start = time.perf_counter()
         report = recover(WriteAheadLog.from_records(records), db)
         elapsed_ms = 1000.0 * (time.perf_counter() - start)
         digest = store_digest(db.store)
 
-        twice_db, _ = _build_db(spec)
+        twice_db, _, _ = host_workload(spec)
         recover(WriteAheadLog.from_records(records), twice_db)
         # a recovered-then-recovered log must reconverge byte-identically
         deterministic = store_digest(twice_db.store) == digest

@@ -11,13 +11,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.analysis.metrics import RunMetrics, metrics_from_result
-from repro.locking import (
-    ClosedNestedLocking,
-    MultiLevelLocking,
-    OpenNestedLocking,
-    OptimisticCertifier,
-    PageLocking2PL,
-)
+from repro.locking import make_scheduler
 from repro.oodb.database import ObjectDatabase
 from repro.runtime.executor import ExecutionResult, InterleavedExecutor
 from repro.runtime.program import TransactionProgram
@@ -26,23 +20,6 @@ from repro.runtime.program import TransactionProgram
 WorkloadBuilder = Callable[[ObjectDatabase], tuple[object, list[TransactionProgram]]]
 
 PROTOCOLS = ("page-2pl", "closed-nested", "multilevel", "open-nested-oo")
-
-
-def make_scheduler(name: str, layers: dict[str, int] | None = None):
-    """Instantiate a protocol by its bench name."""
-    if name == "page-2pl":
-        return PageLocking2PL()
-    if name == "closed-nested":
-        return ClosedNestedLocking()
-    if name == "multilevel":
-        if layers is None:
-            raise ValueError("the multilevel protocol needs a layer assignment")
-        return MultiLevelLocking(layers)
-    if name == "open-nested-oo":
-        return OpenNestedLocking()
-    if name == "optimistic-oo":
-        return OptimisticCertifier()
-    raise ValueError(f"unknown protocol {name!r}")
 
 
 @dataclass

@@ -85,6 +85,22 @@ def _with_timeout(fn, args) -> int:
     return box.get("rc", EXIT_OK)
 
 
+def _profile(args):
+    """The generator profile the shared ``--smoke`` / ``--long`` flags pick."""
+    from repro.fuzz.generator import GeneratorProfile
+
+    if getattr(args, "long", None) is not None:
+        return GeneratorProfile.long(args.long)
+    return GeneratorProfile.smoke() if args.smoke else None
+
+
+def _cell_spec(args, shards: int = 1):
+    """The workload spec of the cell ``--seed`` (+ profile flags) names."""
+    from repro.fuzz.generator import generate, sharded_profile
+
+    return generate(args.seed, sharded_profile(_profile(args), shards))
+
+
 def _build_compare_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "compare", help="run a workload under several protocols"
@@ -359,7 +375,6 @@ def cmd_fuzz(args) -> int:
 
     from repro.fuzz import (
         Ablation,
-        GeneratorProfile,
         counterexample_dict,
         run_campaign,
         run_cell,
@@ -388,7 +403,7 @@ def cmd_fuzz(args) -> int:
         with open(args.replay) as fh:
             data = json.load(fh)
         if data.get("kind") == "crash":
-            return _replay_crash(args.replay, data)
+            return _cmd_fuzz_replay_crash(args.replay, data)
         spec = WorkloadSpec.from_dict(data["workload"])
         _, report = run_cell(
             spec,
@@ -407,7 +422,7 @@ def cmd_fuzz(args) -> int:
             print(report.description)
         return 1 if report.violation else 0
 
-    profile = GeneratorProfile.smoke() if args.smoke else None
+    profile = _profile(args)
     seeds = [args.seed] if args.seed is not None else list(range(args.seeds))
     if args.service:
         return _cmd_fuzz_service(args, seeds)
@@ -626,32 +641,18 @@ def _cmd_fuzz_crash(args, seeds, profile) -> int:
     return 1
 
 
-def _replay_crash(path: str, data: dict) -> int:
-    from repro.faults import FaultPlan
-    from repro.fuzz.crash import DurableConfig, run_armed_cell
-    from repro.fuzz.generator import WorkloadSpec
+def _cmd_fuzz_replay_crash(path: str, data: dict) -> int:
+    from repro.fuzz.crash import replay_crash
 
-    spec = WorkloadSpec.from_dict(data["spec"])
-    plan = FaultPlan.from_dict(data["plan"])
-    durable = (
-        DurableConfig.from_dict(data["durable"])
-        if data.get("durable")
-        else None
-    )
-    outcome = run_armed_cell(
-        spec,
-        data["protocol"],
-        plan,
-        skip_compensation=data.get("skip_compensation", False),
-        durable=durable,
-    )
+    outcome = replay_crash(data)
+    durable = outcome.durable
     print(
-        f"replay {path}: protocol={data['protocol']} "
-        f"plan=({plan.crash_site}#{plan.crash_at}) "
+        f"replay {path}: protocol={outcome.protocol} "
+        f"plan=({outcome.site}#{outcome.occurrence}) "
         + (
-            f"durable=(frames={durable.frames}, "
-            f"ckpt={durable.checkpoint_every}, "
-            f"skip_log_force={durable.skip_log_force}) "
+            f"durable=(frames={durable['frames']}, "
+            f"ckpt={durable['checkpoint_every']}, "
+            f"skip_log_force={durable['skip_log_force']}) "
             if durable
             else ""
         )
@@ -712,9 +713,9 @@ def cmd_certify(args) -> int:
     import json
 
     from repro.core.certify import certify_history
-    from repro.fuzz import Ablation, GeneratorProfile
+    from repro.fuzz import Ablation
     from repro.fuzz.driver import execute_cell
-    from repro.fuzz.generator import WorkloadSpec, generate
+    from repro.fuzz.generator import WorkloadSpec
     from repro.fuzz.oracle import check_history, strictness_for
 
     ablation = None
@@ -740,12 +741,7 @@ def cmd_certify(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_OPERATIONAL
-        profile = None
-        if args.long is not None:
-            profile = GeneratorProfile.long(args.long)
-        elif args.smoke:
-            profile = GeneratorProfile.smoke()
-        spec = generate(args.seed, profile)
+        spec = _cell_spec(args)
         protocol = args.protocol
         exec_seed = None
         if args.ablate:
@@ -830,8 +826,7 @@ def _build_recover_parser(subparsers) -> None:
 def cmd_recover(args) -> int:
     import os
 
-    from repro.fuzz.crash import _build_db
-    from repro.fuzz.generator import GeneratorProfile, generate
+    from repro.fuzz.generator import host_workload
     from repro.oodb.wal import WriteAheadLog, recover, store_digest, verify_log
 
     if args.wal is None and args.data_dir is None:
@@ -842,8 +837,6 @@ def cmd_recover(args) -> int:
         wal_path = os.path.join(args.data_dir, "wal.jsonl")
     wal = WriteAheadLog.load(wal_path)
     verify_log(wal.to_list())
-    profile = GeneratorProfile.smoke() if args.smoke else None
-    spec = generate(args.seed, profile)
     store = None
     if args.data_dir is not None:
         from repro.oodb.store import FileBackedPageStore
@@ -852,7 +845,7 @@ def cmd_recover(args) -> int:
         # In-place recovery: compensations must extend the persistent
         # log, so re-attach the backing path the loader dropped.
         wal.path = wal_path
-    db, _ = _build_db(spec)
+    db, _, _ = host_workload(_cell_spec(args))
     # Without --data-dir the loaded log has no backing path, so
     # recovery's own records stay in memory — the input file is never
     # modified.
@@ -910,7 +903,6 @@ def cmd_trace(args) -> int:
     import json
 
     from repro.fuzz.driver import execute_cell
-    from repro.fuzz.generator import GeneratorProfile, generate
     from repro.obs import (
         EventBus,
         EventLog,
@@ -920,8 +912,7 @@ def cmd_trace(args) -> int:
         validate_chrome_trace,
     )
 
-    profile = GeneratorProfile.smoke() if args.smoke else None
-    spec = generate(args.seed, profile)
+    spec = _cell_spec(args)
     bus = EventBus()
     tracer = SpanTracer(bus, wall=args.wall)
     log = EventLog(bus) if args.events else None
@@ -981,18 +972,12 @@ def _build_stats_parser(subparsers) -> None:
 
 
 def cmd_stats(args) -> int:
-    from repro.fuzz.generator import (
-        GeneratorProfile,
-        generate,
-        sharded_profile,
-    )
     from repro.obs import prometheus_text
 
-    profile = GeneratorProfile.smoke() if args.smoke else None
+    spec = _cell_spec(args, args.shards)
     if args.shards > 1:
         from repro.shard import run_sharded_cell
 
-        spec = generate(args.seed, sharded_profile(profile, args.shards))
         result = run_sharded_cell(spec, args.protocol, args.shards)
         # Numeric samples are already summed across the per-shard
         # registries; the flattened keys keep exposition sample syntax.
@@ -1006,7 +991,6 @@ def cmd_stats(args) -> int:
     else:
         from repro.fuzz.driver import execute_cell
 
-        spec = generate(args.seed, profile)
         result = execute_cell(spec, args.protocol)
         title = f"seed {args.seed}, {args.protocol}"
         if args.format == "prometheus":
@@ -1324,14 +1308,7 @@ def _build_shard_parser(subparsers) -> None:
 
 
 def cmd_shard(args) -> int:
-    from repro.fuzz.generator import (
-        GeneratorProfile,
-        generate,
-        sharded_profile,
-    )
-
-    profile = GeneratorProfile.smoke() if args.smoke else None
-    spec = generate(args.seed, sharded_profile(profile, args.shards))
+    spec = _cell_spec(args, args.shards)
 
     if args.recover:
         from repro.shard import resolve_segments

@@ -483,13 +483,11 @@ def certify_history(
     canonical report, witnesses included, is attached as ``.oracle`` so
     shrinker and replay tooling see the exact engine's bytes.
     """
-    from repro.oodb.trace import committed_projection
+    from repro.oodb.trace import committed_history
 
-    db = result.db
-    registry = db.commutativity_registry()
-    if ablation is not None:
-        registry = ablation.apply(registry)
-    projection = committed_projection(db.system, result.committed_labels)
+    projection, registry = committed_history(
+        result.db, result.committed_labels, ablation
+    )
     linearize_effects(projection)
     extension = extend_system(projection)
     certifier = OnlineCertifier(

@@ -27,6 +27,7 @@ from repro.fuzz.generator import (
     WorkloadSpec,
     build_workload,
     generate,
+    host_workload,
 )
 from repro.fuzz.oracle import (
     Ablation,
@@ -49,6 +50,7 @@ __all__ = [
     "counterexample_dict",
     "execute_cell",
     "generate",
+    "host_workload",
     "judge_violation",
     "run_campaign",
     "run_cell",

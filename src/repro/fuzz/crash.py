@@ -34,6 +34,7 @@ campaign can actually see a broken recovery.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import random
@@ -41,7 +42,6 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 
-from repro.analysis.compare import make_scheduler
 from repro.core.serializability import analyze_system
 from repro.errors import ReproError, SimulatedCrash
 from repro.faults import (
@@ -50,15 +50,20 @@ from repro.faults import (
     RECOVERY_SITES,
     FaultPlan,
 )
-from repro.fuzz.driver import FUZZ_PROTOCOLS
-from repro.fuzz.generator import GeneratorProfile, WorkloadSpec, build_workload, generate
+from repro.fuzz.driver import FUZZ_PROTOCOLS, execute_cell
+from repro.fuzz.generator import (
+    GeneratorProfile,
+    WorkloadSpec,
+    generate,
+    host_workload,
+)
 from repro.fuzz.oracle import strictness_for
 from repro.fuzz.parallel import iter_seed_results
-from repro.oodb.database import ObjectDatabase
 from repro.oodb.store import FileBackedPageStore
-from repro.oodb.trace import committed_projection
+from repro.oodb.trace import committed_history
 from repro.oodb.wal import RecoveryReport, WriteAheadLog, recover, store_digest
-from repro.runtime.executor import InterleavedExecutor, run_sequential
+from repro.runtime.executor import run_sequential
+from repro.runtime.program import base_label
 
 #: sites the campaign arms directly (mid-recovery is exercised separately,
 #: inside every cell's idempotence check)
@@ -99,59 +104,85 @@ class DurableConfig:
         )
 
 
-def _durable_store(
-    spec: WorkloadSpec,
-    data_dir: str,
-    durable: DurableConfig,
-    *,
-    forward: bool = False,
-) -> FileBackedPageStore:
-    """A file-backed store for one leg of a durable cell.
+def armed_sites(durable: DurableConfig | None) -> tuple[str, ...]:
+    """What a campaign arms: durable cells add the storage-engine sites."""
+    return ARMED_SITES if durable is None else DURABLE_ARMED_SITES
 
-    Only the *forward* (pre-crash) run carries the ``skip_log_force``
-    ablation; recovery legs always honor the WAL rule — the ablation is
-    about planting phantom durable effects, not about breaking recovery.
+
+class _MemoryBackend:
+    """Where the legs of a crash cell keep their page images: in memory.
+
+    A *leg* is one database of the cell — the forward run, each recovery,
+    each mid-recovery-crash attempt.  In memory every leg simply owns its
+    database's page store: no directory, no store to hand over, nothing to
+    copy when a leg forks.
     """
-    return FileBackedPageStore(
-        data_dir,
-        frames=durable.frames,
-        default_capacity=4 * spec.key_space + 16,
-        skip_log_force=forward and durable.skip_log_force,
-    )
+
+    #: how cells on this backend describe it (``CrashOutcome.durable``)
+    config: dict | None = None
+    checkpoint_every: int | None = None
+
+    def store(self, leg: str, forward: bool = False):
+        """The storage backend of ``leg``'s database (None = its own)."""
+        return None
+
+    def fork(self, src: str, dst: str) -> None:
+        """Start leg ``dst`` from a copy of leg ``src``'s page images."""
 
 
-def _build_db(
-    spec: WorkloadSpec,
-    protocol: str | None = None,
-    wal: WriteAheadLog | None = None,
-    faults: FaultPlan | None = None,
-    store=None,
-    checkpoint_every: int | None = None,
-):
-    """A fresh database with the spec's objects bootstrapped.
+class _DurableBackend:
+    """Legs on the file-backed storage engine, one data dir each under
+    ``root``.
 
-    Bootstrap is deterministic, so every database built from the same spec
-    assigns identical page ids — which is what lets a *recovery* database
-    (no protocol, no faults, WAL attached only after bootstrap) resolve
-    the crashed run's object directory.
-
-    The fault plan is armed only *after* bootstrap: the in-memory sites
-    are transaction-guarded and can never fire during object creation, so
-    the durable sites (which a bootstrap-time page eviction would
-    otherwise hit) must stay quiet there too — census and armed pass then
-    agree on occurrence numbering, and a cell's crash always lands inside
-    the executor harness.
+    Recovery mutates a leg's data dir (conditional redo installs pages, the
+    epilogue flushes and checkpoints), so every leg that must start from
+    the crash-instant images forks its own copy first.
     """
-    db = ObjectDatabase(
-        scheduler=make_scheduler(protocol, spec.layers()) if protocol else None,
-        page_capacity=4 * spec.key_space + 16,
-        wal=wal,
-        store=store,
-        checkpoint_every=checkpoint_every,
-    )
-    _, programs = build_workload(db, spec)
-    db.faults = faults
-    return db, programs
+
+    def __init__(self, spec: WorkloadSpec, durable: DurableConfig, root: str):
+        self.spec = spec
+        self.durable = durable
+        self.root = root
+        self.config = durable.to_dict()
+        self.checkpoint_every = durable.checkpoint_every
+
+    def store(self, leg: str, forward: bool = False) -> FileBackedPageStore:
+        """Only the *forward* (pre-crash) run carries the ``skip_log_force``
+        ablation; recovery legs always honor the WAL rule — the ablation is
+        about planting phantom durable effects, not about breaking
+        recovery."""
+        return FileBackedPageStore(
+            os.path.join(self.root, leg),
+            frames=self.durable.frames,
+            default_capacity=self.spec.page_capacity,
+            skip_log_force=forward and self.durable.skip_log_force,
+        )
+
+    def fork(self, src: str, dst: str) -> None:
+        shutil.copytree(
+            os.path.join(self.root, src), os.path.join(self.root, dst)
+        )
+
+
+@contextlib.contextmanager
+def _backend(spec: WorkloadSpec, durable: DurableConfig | None):
+    """The storage backend of one cell, alive for the ``with`` block."""
+    if durable is None:
+        yield _MemoryBackend()
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-crash-") as root:
+        yield _DurableBackend(spec, durable, root)
+
+
+def _recover_leg(spec: WorkloadSpec, wal: WriteAheadLog, store=None, **kwargs):
+    """Recover one leg onto a fresh recovery database: ``(db, report)``.
+
+    The database is hosted with no protocol and no WAL of its own — the
+    deterministic bootstrap alone resolves the crashed run's object
+    directory.
+    """
+    db, _, _ = host_workload(spec)
+    return db, recover(wal, db, store=store, **kwargs)
 
 
 def semantic_state(store) -> dict:
@@ -183,29 +214,16 @@ def crash_census(
     pass must see identical occurrence counts.
     """
     plan = FaultPlan.counting()
-    if durable is None:
-        db, programs = _build_db(
-            spec, protocol, wal=WriteAheadLog(), faults=plan
-        )
-        executor = InterleavedExecutor(
-            db, seed=spec.seed, max_ticks=max_ticks, faults=plan
-        )
-        executor.run(programs)
-        return dict(plan.counts)
-    with tempfile.TemporaryDirectory(prefix="repro-census-") as root:
-        store = _durable_store(spec, root, durable, forward=True)
-        db, programs = _build_db(
+    with _backend(spec, durable) as backend:
+        execute_cell(
             spec,
             protocol,
+            max_ticks=max_ticks,
             wal=WriteAheadLog(),
+            store=backend.store("census", forward=True),
+            checkpoint_every=backend.checkpoint_every,
             faults=plan,
-            store=store,
-            checkpoint_every=durable.checkpoint_every,
         )
-        executor = InterleavedExecutor(
-            db, seed=spec.seed, max_ticks=max_ticks, faults=plan
-        )
-        executor.run(programs)
     return dict(plan.counts)
 
 
@@ -256,234 +274,135 @@ def run_armed_cell(
     durable: DurableConfig | None = None,
 ) -> CrashOutcome:
     """Pass 2: execute under the armed plan, recover, judge."""
-    if durable is None:
-        return _run_armed_cell(
-            spec,
-            protocol,
-            plan,
-            skip_compensation=skip_compensation,
-            check_recovery_crash=check_recovery_crash,
-            max_ticks=max_ticks,
+    with _backend(spec, durable) as backend:
+        outcome = CrashOutcome(
+            seed=spec.seed,
+            protocol=protocol,
+            site=plan.crash_site,
+            occurrence=plan.crash_at,
+            plan=plan.to_dict(),
+            durable=backend.config,
         )
-    with tempfile.TemporaryDirectory(prefix="repro-crash-") as root:
-        return _run_armed_cell(
+        wal = WriteAheadLog()
+        result = execute_cell(
             spec,
             protocol,
-            plan,
-            skip_compensation=skip_compensation,
-            check_recovery_crash=check_recovery_crash,
             max_ticks=max_ticks,
-            durable=durable,
-            root=root,
-        )
-
-
-def _run_armed_cell(
-    spec: WorkloadSpec,
-    protocol: str,
-    plan: FaultPlan,
-    *,
-    skip_compensation: bool,
-    check_recovery_crash: bool,
-    max_ticks: int,
-    durable: DurableConfig | None = None,
-    root: str | None = None,
-) -> CrashOutcome:
-    outcome = CrashOutcome(
-        seed=spec.seed,
-        protocol=protocol,
-        site=plan.crash_site,
-        occurrence=plan.crash_at,
-        plan=plan.to_dict(),
-        durable=durable.to_dict() if durable is not None else None,
-    )
-    wal = WriteAheadLog()
-    if durable is not None:
-        data_dir = os.path.join(root, "live")
-        db, programs = _build_db(
-            spec,
-            protocol,
             wal=wal,
+            store=backend.store("live", forward=True),
+            checkpoint_every=backend.checkpoint_every,
             faults=plan,
-            store=_durable_store(spec, data_dir, durable, forward=True),
-            checkpoint_every=durable.checkpoint_every,
         )
-    else:
-        data_dir = None
-        db, programs = _build_db(spec, protocol, wal=wal, faults=plan)
-    executor = InterleavedExecutor(
-        db, seed=spec.seed, max_ticks=max_ticks, faults=plan
-    )
-    result = executor.run(programs)
-    outcome.crashed = result.crashed
-    outcome.gave_up = len(result.gave_up)
-    if not result.crashed:
-        # Transient faults / dropped wakeups perturbed the schedule enough
-        # that the armed occurrence was never reached; the run completed.
-        # Nothing to recover — the regular fuzz oracle covers live runs.
-        return outcome
+        outcome.crashed = result.crashed
+        outcome.gave_up = len(result.gave_up)
+        if not result.crashed:
+            # Transient faults / dropped wakeups perturbed the schedule
+            # enough that the armed occurrence was never reached; the run
+            # completed.  Nothing to recover — the regular fuzz oracle
+            # covers live runs.
+            return outcome
 
-    # --- recovery -------------------------------------------------------
-    pre_crash = wal.to_list()
-    recovery_db, _ = _build_db(spec)
-    if durable is not None:
-        # Recovery mutates the data dir (conditional redo installs pages,
-        # the epilogue flushes and checkpoints), so keep a pristine copy of
-        # the crash-instant images for the mid-recovery-crash legs.
-        pristine = os.path.join(root, "pristine")
-        shutil.copytree(data_dir, pristine)
-        recovery = recover(
+        # --- recovery ---------------------------------------------------
+        pre_crash = wal.to_list()
+        # The crash-instant images, kept for the mid-recovery-crash legs.
+        backend.fork("live", "pristine")
+        recovery_db, recovery = _recover_leg(
+            spec,
             wal,
-            recovery_db,
-            store=_durable_store(spec, data_dir, durable),
+            backend.store("live"),
             skip_compensation=skip_compensation,
         )
-    else:
-        pristine = None
-        recovery = recover(
-            wal, recovery_db, skip_compensation=skip_compensation
-        )
-    outcome.recovery = recovery
-    outcome.winners = list(recovery.winners)
-    outcome.losers = list(recovery.losers)
+        outcome.recovery = recovery
+        outcome.winners = list(recovery.winners)
+        outcome.losers = list(recovery.losers)
 
-    # --- oracle check 1: force-at-commit --------------------------------
-    lost = result.committed_labels - set(recovery.winners)
-    if lost:
-        outcome.violations.append(
-            f"committed in memory but no durable commit record: {sorted(lost)}"
-        )
-
-    # --- oracle check 2: winners are oo-serializable --------------------
-    projection = committed_projection(db.system, set(recovery.winners))
-    verdict, _ = analyze_system(
-        projection,
-        db.commutativity_registry(),
-        propagate_cross_object=strictness_for(protocol),
-    )
-    if not verdict.oo_serializable:
-        outcome.violations.append(
-            "surviving committed history is not oo-serializable: "
-            + verdict.describe()
-        )
-
-    # --- oracle check 3: state equals serial replay of winners ----------
-    serial_db, serial_programs = _build_db(spec)
-    by_label = {p.label: p for p in serial_programs}
-    run_sequential(
-        serial_db,
-        [by_label[w.split(".r")[0]] for w in recovery.winners],
-    )
-    expected = semantic_state(serial_db.store)
-    actual = semantic_state(recovery_db.store)
-    if expected != actual:
-        diff = {
-            key: (expected.get(key), actual.get(key))
-            for key in set(expected) | set(actual)
-            if expected.get(key) != actual.get(key)
-        }
-        outcome.violations.append(
-            "post-recovery state diverges from serial replay of winners "
-            f"{recovery.winners}: {{(page, slot): (serial, recovered)}} = "
-            + repr(dict(sorted(diff.items())))
-        )
-
-    # --- oracle check 4: recovery is deterministic and idempotent -------
-    digest = store_digest(recovery_db.store)
-    twice_db, _ = _build_db(spec)
-    if durable is not None:
-        recover(
-            wal,
-            twice_db,
-            store=_durable_store(spec, data_dir, durable),
-            skip_compensation=skip_compensation,
-        )
-    else:
-        recover(wal, twice_db, skip_compensation=skip_compensation)
-    if store_digest(twice_db.store) != digest:
-        outcome.violations.append(
-            "recovering twice does not yield a byte-identical page store"
-        )
-    if durable is not None:
-        # Backend parity: from-genesis recovery over the same durable log
-        # prefix must land on the identical page store — conditional redo
-        # from the checkpoint may not skip anything it still needed.
-        mem_db, _ = _build_db(spec)
-        recover(
-            WriteAheadLog.from_records(pre_crash),
-            mem_db,
-            skip_compensation=skip_compensation,
-        )
-        if store_digest(mem_db.store) != digest:
+        # --- oracle check 1: force-at-commit ----------------------------
+        lost = result.committed_labels - set(recovery.winners)
+        if lost:
             outcome.violations.append(
-                "durable (from-checkpoint) and in-memory (from-genesis) "
-                "recovery digests diverge over the same log prefix"
+                "committed in memory but no durable commit record: "
+                f"{sorted(lost)}"
             )
-    if check_recovery_crash and not skip_compensation:
-        if durable is not None:
-            failure = _check_recovery_crash_durable(
-                spec, pre_crash, digest, pristine, root, durable
+
+        # --- oracle check 2: winners are oo-serializable ----------------
+        verdict, _ = analyze_system(
+            *committed_history(result.db, set(recovery.winners)),
+            propagate_cross_object=strictness_for(protocol),
+        )
+        if not verdict.oo_serializable:
+            outcome.violations.append(
+                "surviving committed history is not oo-serializable: "
+                + verdict.describe()
             )
-        else:
-            failure = _check_recovery_crash(spec, pre_crash, digest)
-        if failure:
-            outcome.violations.append(failure)
-    return outcome
+
+        # --- oracle check 3: state equals serial replay of winners ------
+        serial_db, _, serial_programs = host_workload(spec)
+        by_label = {p.label: p for p in serial_programs}
+        run_sequential(
+            serial_db, [by_label[base_label(w)] for w in recovery.winners]
+        )
+        expected = semantic_state(serial_db.store)
+        actual = semantic_state(recovery_db.store)
+        if expected != actual:
+            diff = {
+                key: (expected.get(key), actual.get(key))
+                for key in set(expected) | set(actual)
+                if expected.get(key) != actual.get(key)
+            }
+            outcome.violations.append(
+                "post-recovery state diverges from serial replay of winners "
+                f"{recovery.winners}: {{(page, slot): (serial, recovered)}} = "
+                + repr(dict(sorted(diff.items())))
+            )
+
+        # --- oracle check 4: recovery is deterministic and idempotent ---
+        digest = store_digest(recovery_db.store)
+        store = backend.store("live")
+        twice_db, _ = _recover_leg(
+            spec, wal, store, skip_compensation=skip_compensation
+        )
+        if store_digest(twice_db.store) != digest:
+            outcome.violations.append(
+                "recovering twice does not yield a byte-identical page store"
+            )
+        if store is not None:
+            # Backend parity: from-genesis recovery over the same durable
+            # log prefix must land on the identical page store —
+            # conditional redo from the checkpoint may not skip anything
+            # it still needed.
+            mem_db, _ = _recover_leg(
+                spec,
+                WriteAheadLog.from_records(pre_crash),
+                skip_compensation=skip_compensation,
+            )
+            if store_digest(mem_db.store) != digest:
+                outcome.violations.append(
+                    "durable (from-checkpoint) and in-memory (from-genesis) "
+                    "recovery digests diverge over the same log prefix"
+                )
+        if check_recovery_crash and not skip_compensation:
+            failure = _check_recovery_crash(spec, pre_crash, digest, backend)
+            if failure:
+                outcome.violations.append(failure)
+        return outcome
 
 
 def _check_recovery_crash(
-    spec: WorkloadSpec, pre_crash: list[dict], clean_digest: str
+    spec: WorkloadSpec, pre_crash: list[dict], clean_digest: str, backend
 ) -> str | None:
-    """Crash recovery itself mid-undo, recover again, compare digests."""
-    counting = FaultPlan.counting()
-    census_db, _ = _build_db(spec)
-    recover(WriteAheadLog.from_records(pre_crash), census_db, faults=counting)
-    steps = counting.counts.get("recovery.step", 0)
-    if steps == 0:
-        return None  # nothing to undo: recovery is a pure redo
-    rng = random.Random((spec.seed, "recovery-crash").__repr__())
-    plan = FaultPlan.crash_plan("recovery.step", rng.randrange(steps))
-    wal = WriteAheadLog.from_records(pre_crash)
-    crashed_db, _ = _build_db(spec)
-    try:
-        recover(wal, crashed_db, faults=plan)
-    except SimulatedCrash:
-        pass
-    else:  # pragma: no cover - the plan always fires within `steps`
-        return "mid-recovery crash plan did not fire"
-    resumed_db, _ = _build_db(spec)
-    recover(wal, resumed_db)
-    if store_digest(resumed_db.store) != clean_digest:
-        return (
-            "crash mid-recovery then recovery does not converge to the "
-            "clean-recovery page store"
-        )
-    return None
+    """Crash recovery itself mid-undo, recover again, compare digests.
 
-
-def _check_recovery_crash_durable(
-    spec: WorkloadSpec,
-    pre_crash: list[dict],
-    clean_digest: str,
-    pristine: str,
-    root: str,
-    durable: DurableConfig,
-) -> str | None:
-    """The durable flavor of the mid-recovery-crash check.
-
-    Every leg starts from its own copy of the crash-instant data dir:
-    recovery mutates the images, so the crashed leg and the resumed leg
-    must share one dir (the resume continues from what the crashed leg
-    durably did) while the counting leg gets a throwaway copy.
+    Every leg starts from its own fork of the crash-instant images:
+    recovery mutates them, so the crashed leg and the resumed leg share
+    one (the resume continues from what the crashed leg durably did)
+    while the counting leg gets a throwaway copy.
     """
     counting = FaultPlan.counting()
-    census_dir = os.path.join(root, "rc-census")
-    shutil.copytree(pristine, census_dir)
-    census_db, _ = _build_db(spec)
-    recover(
+    backend.fork("pristine", "rc-census")
+    _recover_leg(
+        spec,
         WriteAheadLog.from_records(pre_crash),
-        census_db,
-        store=_durable_store(spec, census_dir, durable),
+        backend.store("rc-census"),
         faults=counting,
     )
     steps = counting.counts.get("recovery.step", 0)
@@ -491,25 +410,15 @@ def _check_recovery_crash_durable(
         return None  # nothing to undo: recovery is a pure redo
     rng = random.Random((spec.seed, "recovery-crash").__repr__())
     plan = FaultPlan.crash_plan("recovery.step", rng.randrange(steps))
-    crash_dir = os.path.join(root, "rc-crash")
-    shutil.copytree(pristine, crash_dir)
+    backend.fork("pristine", "rc-crash")
     wal = WriteAheadLog.from_records(pre_crash)
-    crashed_db, _ = _build_db(spec)
     try:
-        recover(
-            wal,
-            crashed_db,
-            store=_durable_store(spec, crash_dir, durable),
-            faults=plan,
-        )
+        _recover_leg(spec, wal, backend.store("rc-crash"), faults=plan)
     except SimulatedCrash:
         pass
     else:  # pragma: no cover - the plan always fires within `steps`
         return "mid-recovery crash plan did not fire"
-    resumed_db, _ = _build_db(spec)
-    recover(
-        wal, resumed_db, store=_durable_store(spec, crash_dir, durable)
-    )
+    resumed_db, _ = _recover_leg(spec, wal, backend.store("rc-crash"))
     if store_digest(resumed_db.store) != clean_digest:
         return (
             "crash mid-recovery then recovery does not converge to the "
@@ -549,26 +458,26 @@ def find_log_force_ablation(
         spec = generate(seed, None)
         plan = FaultPlan.counting()
         marks: list[dict] = []
-        with tempfile.TemporaryDirectory(prefix="repro-ablate-") as root:
-            wal = WriteAheadLog()
-            store = _durable_store(spec, root, durable, forward=True)
-            db, programs = _build_db(
+        wal = WriteAheadLog()
+
+        def probe(frame) -> None:
+            # Bootstrap write-backs precede the armed harness (the census
+            # is still empty): no crash can be aimed at them.
+            if plan.counts and frame.page_lsn >= len(wal.records):
+                marks.append(dict(plan.counts))
+
+        with _backend(spec, durable) as backend:
+            store = backend.store("probe", forward=True)
+            store.pool.write_back_probe = probe
+            execute_cell(
                 spec,
                 protocol,
+                max_ticks=max_ticks,
                 wal=wal,
-                faults=plan,
                 store=store,
-                checkpoint_every=durable.checkpoint_every,
+                checkpoint_every=backend.checkpoint_every,
+                faults=plan,
             )
-            store.pool.write_back_probe = lambda frame: (
-                marks.append(dict(plan.counts))
-                if frame.page_lsn >= len(wal.records)
-                else None
-            )
-            executor = InterleavedExecutor(
-                db, seed=spec.seed, max_ticks=max_ticks
-            )
-            executor.run(programs)
         for mark in marks[:marks_per_seed]:
             for site in probe_sites:
                 armed = FaultPlan.crash_plan(site, mark.get(site, 0))
@@ -597,8 +506,9 @@ def run_crash_cell(
 ) -> CrashOutcome:
     """Census + armed pass for one cell (the single-cell/replay entry)."""
     census = crash_census(spec, protocol, durable=durable, max_ticks=max_ticks)
-    sites = DURABLE_ARMED_SITES if durable is not None else ARMED_SITES
-    plan = FaultPlan.from_census(spec.seed, census, site=site, sites=sites)
+    plan = FaultPlan.from_census(
+        spec.seed, census, site=site, sites=armed_sites(durable)
+    )
     if plan is None:
         return CrashOutcome(
             seed=spec.seed,
@@ -744,7 +654,7 @@ def run_seed_crash_cells(
 ) -> list[CrashCell]:
     """The per-seed crash-campaign worker (deterministic in ``seed``)."""
     if sites is None:
-        sites = DURABLE_ARMED_SITES if durable is not None else ARMED_SITES
+        sites = armed_sites(durable)
     spec = generate(seed, profile)
     cells: list[CrashCell] = []
     for protocol in protocols:
@@ -869,7 +779,7 @@ def run_crash_campaign(
     and adds the storage-engine crash sites to the sweep.
     """
     if sites is None:
-        sites = DURABLE_ARMED_SITES if durable is not None else ARMED_SITES
+        sites = armed_sites(durable)
     campaign = CrashCampaignResult(
         tallies={p: CrashTally(protocol=p) for p in protocols}
     )

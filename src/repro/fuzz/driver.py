@@ -21,13 +21,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from repro.analysis.compare import make_scheduler
 from repro.errors import ReproError
 from repro.fuzz.generator import (
     GeneratorProfile,
     WorkloadSpec,
-    build_workload,
     generate,
+    host_workload,
     sharded_profile,
 )
 from repro.fuzz.oracle import (
@@ -37,7 +36,6 @@ from repro.fuzz.oracle import (
     strictness_for,
 )
 from repro.fuzz.parallel import iter_seed_results
-from repro.oodb.database import ObjectDatabase
 from repro.runtime.executor import ExecutionResult, InterleavedExecutor
 
 #: all five protocols, including the optimistic certifier the comparison
@@ -58,26 +56,42 @@ def execute_cell(
     exec_seed: int | None = None,
     max_ticks: int = 200_000,
     bus=None,
+    wal=None,
+    store=None,
+    checkpoint_every: int | None = None,
+    faults=None,
 ) -> ExecutionResult:
-    """Build and execute one (workload, protocol) cell, without judging it.
+    """Host and execute one (workload, protocol) cell, without judging it.
 
-    Split out of :func:`run_cell` for callers that judge the history
-    themselves — the shrinker only needs the oracle's violation boolean and
-    uses the incremental fast path instead of a full report.  ``bus`` (an
-    :class:`repro.obs.events.EventBus`) lets observers watch the run; left
-    ``None``, the database's own inert bus keeps the no-subscriber fast
-    path and the run's behaviour is bit-for-bit the same.
+    The one place under ``fuzz/`` that pairs a hosted database with an
+    :class:`InterleavedExecutor`; callers judge the history themselves
+    (the oracle, the shrinker's boolean fast path, the crash oracle).
+    ``bus`` (an :class:`repro.obs.events.EventBus`) lets observers watch
+    the run; left ``None``, the database's own inert bus keeps the
+    no-subscriber fast path and the run's behaviour is bit-for-bit the
+    same.  ``wal``/``store``/``checkpoint_every`` pick the storage engine.
+
+    ``faults`` is armed only *after* bootstrap: the in-memory sites are
+    transaction-guarded and can never fire during object creation, so the
+    durable sites (which a bootstrap-time page eviction would otherwise
+    hit) must stay quiet there too — a counting pass and an armed pass
+    then agree on occurrence numbering, and a crash always lands inside
+    the executor harness.
     """
-    db = ObjectDatabase(
-        scheduler=make_scheduler(protocol, spec.layers()),
-        page_capacity=4 * spec.key_space + 16,
+    db, _, programs = host_workload(
+        spec,
+        protocol,
+        wal=wal,
+        store=store,
+        checkpoint_every=checkpoint_every,
         bus=bus,
     )
-    _, programs = build_workload(db, spec)
+    db.faults = faults
     executor = InterleavedExecutor(
         db,
         seed=spec.seed if exec_seed is None else exec_seed,
         max_ticks=max_ticks,
+        faults=faults,
     )
     return executor.run(programs)
 

@@ -41,6 +41,7 @@ from typing import Any
 
 from repro.core.actions import Invocation
 from repro.core.commutativity import CommutativitySpec
+from repro.locking import make_scheduler
 from repro.oodb.database import ObjectDatabase
 from repro.oodb.method import dbmethod
 from repro.oodb.object_model import DatabaseObject
@@ -263,6 +264,11 @@ class WorkloadSpec:
     @property
     def leaf_objects(self) -> list[ObjectSpec]:
         return [o for o in self.objects if o.layer == 0]
+
+    @property
+    def page_capacity(self) -> int:
+        """Default slots per page of a database hosting this workload."""
+        return 4 * self.key_space + 16
 
     def layers(self) -> dict[str, int]:
         """The prefix -> level assignment the multilevel protocol needs.
@@ -743,3 +749,37 @@ def build_workload(
         for pspec in (spec.programs if programs is None else programs)
     ]
     return oids, compiled
+
+
+def host_workload(
+    spec: WorkloadSpec,
+    protocol: str | None = None,
+    *,
+    objects: list[ObjectSpec] | None = None,
+    programs: list[ProgramSpec] | None = None,
+    wal=None,
+    store=None,
+    checkpoint_every: int | None = None,
+    bus=None,
+) -> tuple[ObjectDatabase, list[str], list[TransactionProgram]]:
+    """A fresh database hosting the spec: ``(db, object_ids, programs)``.
+
+    The one place a workload spec becomes a database — fuzz cells, crash
+    legs, shard units, segment recovery and the service all host through
+    here.  Bootstrap is deterministic, so every database hosted from the
+    same spec (and ``objects`` subset) assigns identical page ids — which
+    is what lets a *recovery* database (no protocol, no WAL) resolve a
+    crashed run's object directory.
+    """
+    db = ObjectDatabase(
+        scheduler=make_scheduler(protocol, spec.layers()) if protocol else None,
+        page_capacity=spec.page_capacity,
+        wal=wal,
+        store=store,
+        checkpoint_every=checkpoint_every,
+        bus=bus,
+    )
+    oids, compiled = build_workload(
+        db, spec, objects=objects, programs=programs
+    )
+    return db, oids, compiled

@@ -53,7 +53,7 @@ from repro.core.serializability import (
     conventional_constraints,
     conventional_serializable,
 )
-from repro.oodb.trace import committed_projection
+from repro.oodb.trace import committed_history
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.executor import ExecutionResult
@@ -164,11 +164,9 @@ def judge_violation(
     """
     from repro.core.dependency import IncrementalDependencyEngine
 
-    db = result.db
-    registry = db.commutativity_registry()
-    if ablation is not None:
-        registry = ablation.apply(registry)
-    projection = committed_projection(db.system, result.committed_labels)
+    projection, registry = committed_history(
+        result.db, result.committed_labels, ablation
+    )
     engine = IncrementalDependencyEngine(
         projection,
         registry,
@@ -185,11 +183,9 @@ def check_history(
     strict_cross_object: bool = True,
 ) -> OracleReport:
     """Judge one run's committed history against both criteria."""
-    db = result.db
-    registry = db.commutativity_registry()
-    if ablation is not None:
-        registry = ablation.apply(registry)
-    projection = committed_projection(db.system, result.committed_labels)
+    projection, registry = committed_history(
+        result.db, result.committed_labels, ablation
+    )
     verdict, _schedules = analyze_system(
         projection, registry, propagate_cross_object=strict_cross_object
     )

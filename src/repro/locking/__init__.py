@@ -28,6 +28,24 @@ from repro.locking.multilevel import MultiLevelLocking
 from repro.locking.open_nested import OpenNestedLocking
 from repro.locking.optimistic import OptimisticCertifier
 
+
+def make_scheduler(name: str, layers: dict[str, int] | None = None):
+    """Instantiate a protocol by its bench name."""
+    if name == "page-2pl":
+        return PageLocking2PL()
+    if name == "closed-nested":
+        return ClosedNestedLocking()
+    if name == "multilevel":
+        if layers is None:
+            raise ValueError("the multilevel protocol needs a layer assignment")
+        return MultiLevelLocking(layers)
+    if name == "open-nested-oo":
+        return OpenNestedLocking()
+    if name == "optimistic-oo":
+        return OptimisticCertifier()
+    raise ValueError(f"unknown protocol {name!r}")
+
+
 __all__ = [
     "ClosedNestedLocking",
     "LockTable",
@@ -37,4 +55,5 @@ __all__ = [
     "OptimisticCertifier",
     "PageLocking2PL",
     "Scheduler",
+    "make_scheduler",
 ]

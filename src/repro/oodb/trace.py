@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 from repro.core.transactions import TransactionSystem
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.commutativity import CommutativityRegistry
     from repro.oodb.database import ObjectDatabase
     from repro.runtime.executor import ExecutionResult
 
@@ -43,16 +44,31 @@ def committed_projection(
     return projection
 
 
+def committed_history(
+    db: "ObjectDatabase", labels: Iterable[str], ablation=None
+) -> tuple[TransactionSystem, "CommutativityRegistry"]:
+    """What every judge analyses: ``(projection, registry)``.
+
+    The committed projection of ``db``'s trace onto ``labels``, paired with
+    the database's own commutativity registry — weakened by ``ablation``
+    (a :class:`repro.fuzz.oracle.Ablation`, applied to a copy) when the
+    judge is self-testing.
+    """
+    registry = db.commutativity_registry()
+    if ablation is not None:
+        registry = ablation.apply(registry)
+    return committed_projection(db.system, labels), registry
+
+
 def analyze_committed(result: "ExecutionResult", **kwargs):
     """Run the oo-serializability analysis on a run's committed projection.
 
     Convenience wrapper used by property tests and benches: takes the
-    :class:`ExecutionResult` of an interleaved run, projects the trace onto
-    the committed transactions and analyzes it with the database's own
-    commutativity registry.  Returns ``(SystemVerdict, schedules)``.
+    :class:`ExecutionResult` of an interleaved run and analyzes its
+    :func:`committed_history`.  Returns ``(SystemVerdict, schedules)``.
     """
     from repro.core.serializability import analyze_system
 
-    db = result.db
-    projection = committed_projection(db.system, result.committed_labels)
-    return analyze_system(projection, db.commutativity_registry(), **kwargs)
+    return analyze_system(
+        *committed_history(result.db, result.committed_labels), **kwargs
+    )

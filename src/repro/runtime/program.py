@@ -8,6 +8,7 @@ aborts), each attempt as a fresh top-level transaction.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any, TYPE_CHECKING
@@ -74,6 +75,15 @@ class TransactionProgram:
     def attempt_label(self, attempt: int) -> str:
         """Unique transaction label per execution attempt."""
         return self.label if attempt == 0 else f"{self.label}.r{attempt}"
+
+
+_ATTEMPT_SUFFIX = re.compile(r"\.r\d+$")
+
+
+def base_label(label: str) -> str:
+    """Invert :meth:`TransactionProgram.attempt_label`: strip the restart
+    suffix — ``T3.r2`` -> ``T3`` (``T3`` stays ``T3``)."""
+    return _ATTEMPT_SUFFIX.sub("", label)
 
 
 def program_from_ops(

@@ -41,17 +41,15 @@ from dataclasses import dataclass, field
 
 from collections import deque
 
-from repro.analysis.compare import make_scheduler
 from repro.core.certify import OnlineCertifier, certified_base
 from repro.errors import DatabaseError
 from repro.fuzz.generator import (
     GeneratorProfile,
-    build_workload,
     generate,
+    host_workload,
     sharded_profile,
 )
 from repro.fuzz.oracle import check_history, strictness_for
-from repro.oodb.database import ObjectDatabase
 from repro.oodb.session import DatabaseSession
 from repro.oodb.wal import WriteAheadLog
 from repro.runtime.executor import (
@@ -290,20 +288,20 @@ class TransactionService:
                 store = FileBackedPageStore(
                     self.config.data_dir,
                     frames=self.config.frames,
-                    default_capacity=4 * spec.key_space + 16,
+                    default_capacity=spec.page_capacity,
                 )
-            self.db = ObjectDatabase(
-                scheduler=make_scheduler(self.config.protocol, spec.layers()),
-                page_capacity=4 * spec.key_space + 16,
+            # Materialize the object graph only, none of the spec's canned
+            # programs — clients author the programs here.
+            self.db, self.oids, _ = host_workload(
+                spec,
+                self.config.protocol,
+                programs=[],
                 wal=self._wal,
                 store=store,
                 checkpoint_every=(
                     self.config.checkpoint_every if store is not None else None
                 ),
             )
-            # Materialize the object graph only; the spec's canned programs
-            # are discarded — clients author the programs here.
-            self.oids, _ = build_workload(self.db, spec)
             self.executor = InterleavedExecutor(
                 self.db,
                 seed=self.config.seed,

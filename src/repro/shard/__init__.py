@@ -14,8 +14,9 @@ cell report in :mod:`repro.shard.runtime`; presumed-abort segment recovery
 in :mod:`repro.shard.recovery`.
 """
 
+from repro.runtime.program import base_label
 from repro.shard.coordinator import ABORT, COMMIT, Coordinator, canonical_cycle
-from repro.shard.executor import ShardExecutor, base_label
+from repro.shard.executor import ShardExecutor
 from repro.shard.partition import (
     ShardMap,
     SplitWorkload,

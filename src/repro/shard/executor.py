@@ -10,22 +10,14 @@ why a 1-shard run is byte-identical to ``execute_cell``.
 
 from __future__ import annotations
 
-import re
-
 from repro.runtime.executor import (
     _BLOCKED,
     _READY,
     InterleavedExecutor,
     _Worker,
 )
+from repro.runtime.program import base_label
 from repro.shard.coordinator import ABORT, COMMIT
-
-_ATTEMPT_SUFFIX = re.compile(r"\.r\d+$")
-
-
-def base_label(label: str) -> str:
-    """Strip the restart suffix: ``T3.r2`` -> ``T3`` (``T3`` stays ``T3``)."""
-    return _ATTEMPT_SUFFIX.sub("", label)
 
 
 class _TwoPhaseWorker(_Worker):

@@ -24,8 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.analysis.compare import make_scheduler
-from repro.fuzz.generator import WorkloadSpec, build_workload
+from repro.fuzz.generator import WorkloadSpec, host_workload
 from repro.oodb.database import ObjectDatabase
 from repro.oodb.wal import (
     RecoveryReport,
@@ -33,7 +32,7 @@ from repro.oodb.wal import (
     recover,
     store_digest,
 )
-from repro.shard.executor import base_label
+from repro.runtime.program import base_label
 from repro.shard.partition import ShardMap
 
 
@@ -141,13 +140,9 @@ def resolve_segments(
         # Re-point the loaded log at its file so resolution commit records
         # are forced to disk, not just into the in-memory prefix.
         wal.path = path
-        db = ObjectDatabase(
-            scheduler=(
-                make_scheduler(protocol, spec.layers()) if protocol else None
-            ),
-            page_capacity=4 * spec.key_space + 16,
+        db, _, _ = host_workload(
+            spec, protocol, objects=shard_map.owned(shard, spec), programs=[]
         )
-        build_workload(db, spec, objects=shard_map.owned(shard, spec), programs=[])
         resolution = resolve_segment(wal, decisions, db)
         resolution.shard = shard
         report.shards.append(resolution)

@@ -30,8 +30,8 @@ from repro.fuzz.generator import WorkloadSpec, build_program
 from repro.fuzz.oracle import Ablation, OracleReport, strictness_for
 from repro.obs.events import EventBus, event_to_dict
 from repro.oodb.wal import WriteAheadLog
+from repro.runtime.program import base_label
 from repro.shard.coordinator import ABORT, COMMIT, Coordinator
-from repro.shard.executor import base_label
 from repro.shard.partition import ShardMap, split_programs
 from repro.shard.service import (
     ShardState,

@@ -27,7 +27,6 @@ in sharded mode; :meth:`ShardGroup.certify` is the audit surface instead.
 
 from __future__ import annotations
 
-from repro.analysis.compare import make_scheduler
 from repro.core.graph import OnlineTopology
 from repro.core.serializability import (
     analyze_system,
@@ -35,21 +34,24 @@ from repro.core.serializability import (
     conventional_serializable,
 )
 from repro.errors import SimulationError
-from repro.fuzz.generator import WorkloadSpec, build_workload
+from repro.fuzz.generator import WorkloadSpec, host_workload
 from repro.fuzz.oracle import Ablation, OracleReport, strictness_for
 from repro.obs.events import EventBus, event_to_dict
 from repro.obs.metrics import MetricsRegistry
-from repro.oodb.database import ObjectDatabase
-from repro.oodb.trace import committed_projection
+from repro.oodb.trace import committed_history
 from repro.runtime.executor import (
     _DONE,
     ExecutionResult,
     RetryPolicy,
     WorkerOutcome,
 )
-from repro.runtime.program import TransactionProgram, program_from_ops
+from repro.runtime.program import (
+    TransactionProgram,
+    base_label,
+    program_from_ops,
+)
 from repro.shard.coordinator import ABORT, Coordinator
-from repro.shard.executor import ShardExecutor, base_label
+from repro.shard.executor import ShardExecutor
 from repro.shard.partition import ShardMap, split_ops
 
 #: seed stride between shards (shard 0 keeps the caller's seed verbatim —
@@ -75,10 +77,7 @@ def _base_edges(constraints) -> list:
 
 def _analysis(db, labels, strict: bool, ablation: Ablation | None):
     """The Def 10-14 analysis of ``db``'s history projected onto ``labels``."""
-    registry = db.commutativity_registry()
-    if ablation is not None:
-        registry = ablation.apply(registry)
-    projection = committed_projection(db.system, labels)
+    projection, registry = committed_history(db, labels, ablation)
     verdict, _ = analyze_system(
         projection, registry, propagate_cross_object=strict
     )
@@ -144,13 +143,9 @@ class ShardState:
             bus.subscribe(
                 lambda event: self.events.append(event_to_dict(event))
             )
-        self.db = ObjectDatabase(
-            scheduler=make_scheduler(protocol, spec.layers()),
-            page_capacity=4 * spec.key_space + 16,
-            wal=wal,
-            bus=bus,
+        self.db, _, _ = host_workload(
+            spec, protocol, objects=owned, programs=[], wal=wal, bus=bus
         )
-        build_workload(self.db, spec, objects=owned, programs=[])
         self.executor = ShardExecutor(
             self.db,
             set(),

@@ -11,6 +11,7 @@ from repro.runtime import (
     TransactionProgram,
     run_sequential,
 )
+from repro.runtime.program import base_label
 from repro.structures import Account, build_encyclopedia
 
 
@@ -48,6 +49,11 @@ class Keyed(DatabaseObject):
     def erase(self, key):
         if key in self.data:
             del self.data[key]
+
+
+def test_base_label_inverts_attempt_label():
+    assert base_label("a.run.r2") == "a.run"
+    assert base_label("T3") == "T3"
 
 
 def writer_program(label, oid, key, value, think=0):

@@ -100,10 +100,10 @@ def test_recover_command(tmp_path):
     import json
 
     from repro.faults import FaultPlan
-    from repro.fuzz.crash import _build_db, crash_census
+    from repro.fuzz.crash import crash_census
+    from repro.fuzz.driver import execute_cell
     from repro.fuzz.generator import GeneratorProfile, generate
     from repro.oodb.wal import WriteAheadLog
-    from repro.runtime.executor import InterleavedExecutor
 
     spec = generate(0, GeneratorProfile.smoke())
     census = crash_census(spec, "open-nested-oo")
@@ -111,8 +111,7 @@ def test_recover_command(tmp_path):
         "page-write.after", census["page-write.after"] - 1
     )
     wal = WriteAheadLog()
-    db, programs = _build_db(spec, "open-nested-oo", wal=wal, faults=plan)
-    result = InterleavedExecutor(db, seed=spec.seed, faults=plan).run(programs)
+    result = execute_cell(spec, "open-nested-oo", wal=wal, faults=plan)
     assert result.crashed
     path = tmp_path / "crashed.wal"
     with open(path, "w") as fh:
@@ -136,20 +135,21 @@ def test_fuzz_crash_durable_smoke():
 
 
 def test_recover_data_dir_round_trip(tmp_path):
-    from repro.fuzz.crash import _build_db, _durable_store, DurableConfig
+    from repro.fuzz.driver import execute_cell
     from repro.fuzz.generator import GeneratorProfile, generate
+    from repro.oodb.store import FileBackedPageStore
     from repro.oodb.wal import WriteAheadLog
-    from repro.runtime.executor import InterleavedExecutor
 
     spec = generate(0, GeneratorProfile.smoke())
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     wal = WriteAheadLog(str(data_dir / "wal.jsonl"))
-    store = _durable_store(spec, str(data_dir), DurableConfig(frames=8))
-    db, programs = _build_db(
+    store = FileBackedPageStore(
+        str(data_dir), frames=8, default_capacity=spec.page_capacity
+    )
+    execute_cell(
         spec, "open-nested-oo", wal=wal, store=store, checkpoint_every=32
     )
-    InterleavedExecutor(db, seed=spec.seed).run(programs)
     # abrupt stop: synced but never checkpointed/closed cleanly
     wal.sync()
     wal.close()
