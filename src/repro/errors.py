@@ -78,6 +78,20 @@ class DeadlineExceeded(TransactionAborted):
         self.deadline_tick = deadline_tick
 
 
+class RunAbandoned(TransactionAborted):
+    """The executor's run failed while this transaction was in flight.
+
+    Raised in each unfinished worker when the schedule itself fails (tick
+    budget spent, every transaction blocked).  Like
+    :class:`DeadlineExceeded` it rolls the attempt back through the normal
+    abort path and is never restarted; unlike it, the outcome is no verdict
+    on the program — the failure is reported by ``run()``.
+    """
+
+    def __init__(self, txn_id: str):
+        super().__init__(txn_id, reason="run abandoned")
+
+
 class DeadlockError(TransactionAborted):
     """A transaction was chosen as a deadlock victim."""
 

@@ -1,13 +1,19 @@
 """The interleaved executor: deterministic simulated concurrency.
 
-Each transaction program runs in its own worker thread, but a controller
-guarantees that exactly one worker executes at a time; workers hand control
-back at every database action (``ObjectDatabase`` calls
+Each transaction program runs in its own worker thread, but a baton
+guarantees that exactly one of them executes at a time; workers give it up
+at every database action (``ObjectDatabase`` calls
 :meth:`InterleavedExecutor.checkpoint` before each send and page access).
 A seeded RNG picks the next runnable worker, making every interleaving
 reproducible.  Lock waits park the worker until the scheduler's
 ``wake_all``; deadlock victims abort (undo + compensation via
 ``ObjectDatabase.abort``) and restart as fresh transactions.
+
+The baton is passed directly: every worker parks on a private lock, the
+schedule is a generator (:meth:`InterleavedExecutor._schedule`), and the
+thread that gives the baton up draws the next worker from it and releases
+exactly that worker's lock.  The thread that called ``run()`` is woken only
+when the schedule ends — done, stalled, or failed.
 
 The executor doubles as the scheduler's
 :class:`~repro.locking.interfaces.WaitEnvironment` and as the database's
@@ -23,6 +29,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import (
     DeadlineExceeded,
+    RunAbandoned,
     SimulatedCrash,
     SimulationError,
     TransactionAborted,
@@ -107,6 +114,12 @@ class WorkerOutcome:
     def label(self) -> str:
         return self.program.label
 
+    @property
+    def finished(self) -> bool:
+        """The program reached a verdict of its own: committed, gave up or
+        failed.  False for a worker rolled back because the run failed."""
+        return self.committed or self.gave_up or self.error is not None
+
 
 @dataclass
 class ExecutionResult:
@@ -160,6 +173,10 @@ class _Worker:
         self.outcome = WorkerOutcome(program=program)
         self.blocked_since = 0
         self.wait_key: str | None = None
+        #: the baton: held while the worker is parked, released by whichever
+        #: thread schedules it next
+        self.baton = threading.Lock()
+        self.baton.acquire()
         self.thread = threading.Thread(
             target=self._run, name=f"txn-{program.label}", daemon=True
         )
@@ -190,7 +207,13 @@ class _Worker:
                     # The system died mid-action.  No rollback, no lock
                     # release, no restart: volatile state is gone and
                     # recovery (from the WAL) owns everything else.
-                    executor._note_crash()
+                    executor.crashed = True
+                    return
+                except RunAbandoned:
+                    # The run failed under this attempt: roll it back so
+                    # its locks do not outlive the run, and stop.
+                    db.abort(ctx, "run abandoned")
+                    self.outcome.aborted_ctxs.append(ctx)
                     return
                 except DeadlineExceeded:
                     # Mapped onto the gave_up liveness signal: the victim
@@ -229,7 +252,9 @@ class _Worker:
         except SimulatedCrash:
             # Unwound while the crash propagated (e.g. parked in a lock
             # wait, a backoff, or rolling back when the system died).
-            executor._note_crash()
+            executor.crashed = True
+        except RunAbandoned:
+            pass  # resumed between attempts (or before the first) to stop
         except BaseException as exc:  # pragma: no cover - defensive
             self.outcome.error = exc
         finally:
@@ -273,10 +298,26 @@ class InterleavedExecutor:
         self.join_timeout = join_timeout
         #: a SimulatedCrash fired somewhere; every worker unwinds
         self.crashed = False
+        #: scheduling steps taken and how many of them changed thread, this
+        #: run (folded into the metrics registry by :meth:`finish`)
+        self.slices = 0
+        self.thread_switches = 0
         self._wakeups_dropped = 0
-        self._cond = threading.Condition()
         self._workers: list[_Worker] = []
+        #: who holds the baton: a worker, or "controller" for the thread
+        #: that called run()/_controller_loop(), which parks on ``_caller``
         self._current: object = "controller"
+        self._caller = threading.Lock()
+        self._caller.acquire()
+        #: the running schedule, and how it ended: _controller_loop()'s
+        #: return value, or the exception it re-raises
+        self._steps = None
+        self._verdict: str | None = None
+        self._failure: BaseException | None = None
+        #: the run's tick budget as an absolute clock value (see start())
+        self._tick_limit = max_ticks
+        #: the schedule failed; unfinished workers resume only to abort
+        self._abandoned = False
         db.env = self
         db.scheduler.bind_environment(self)
         # The database's event bus tells time in this executor's logical
@@ -296,7 +337,11 @@ class InterleavedExecutor:
                 [], 0, dict(self._scheduler_stats()), self.db, seed=self.seed
             )
         self.start(programs)
-        self._controller_loop()
+        try:
+            self._controller_loop()
+        except Exception:
+            self._abandon()
+            raise
         return self.finish()
 
     def start(self, programs: list[TransactionProgram]) -> None:
@@ -307,6 +352,10 @@ class InterleavedExecutor:
         resume) instead of in one shot.
         """
         self._workers = [self._make_worker(program) for program in programs]
+        # max_ticks is a budget per run: the clock of a persistent executor
+        # (the service's, a shard's) never resets.
+        self._tick_limit = self.now + self.max_ticks
+        self.slices = self.thread_switches = 0
         for worker in self._workers:
             worker.outcome.seed = self.seed
             worker.thread.start()
@@ -317,6 +366,14 @@ class InterleavedExecutor:
     def finish(self) -> ExecutionResult:
         """Join the workers and assemble the aggregate result."""
         self._join_workers()
+        metrics = self.db.metrics
+        metrics.counter(
+            "executor_slices_total", "execution slices the schedule handed out"
+        ).inc(self.slices)
+        metrics.counter(
+            "executor_thread_switches_total",
+            "baton hand-offs that changed thread",
+        ).inc(self.thread_switches)
         for worker in self._workers:
             if worker.outcome.error is not None and not worker.outcome.hung:
                 raise worker.outcome.error
@@ -374,59 +431,98 @@ class InterleavedExecutor:
         return self.db.scheduler.stats
 
     # ------------------------------------------------------------------
-    # controller
+    # the schedule and the baton
     # ------------------------------------------------------------------
 
     def _controller_loop(self) -> str:
+        """Drive the workers until the schedule ends; the caller's half of
+        the baton protocol.
+
+        Returns ``"done"`` when every worker finished, or ``"stalled"``
+        when :meth:`_on_stall` asked for control back (the sharded
+        executor's quiescence point; the base executor never stalls).  A
+        failure of the schedule — whichever thread ran the step that found
+        it — is raised here, on the calling thread.
+        """
+        self._steps = self._schedule()
+        self._pass_baton(None)
+        failure, self._failure = self._failure, None
+        if failure is not None:
+            raise failure
+        return self._verdict
+
+    def _schedule(self):
         """Synchronous rounds: one tick of simulated time per round, one
-        execution slice per runnable worker per round.
+        execution slice per runnable worker per round.  Yields the worker
+        of each slice; returns ``"done"`` or ``"stalled"``.
 
         Transactions therefore *overlap*: four workers thinking or acting
         concurrently advance the clock by one, while a blocked worker's
         round is lost — which is exactly how lock waits turn into latency
         and reduced throughput.
 
-        Returns ``"done"`` when every worker finished, or ``"stalled"``
-        when :meth:`_on_stall` asked for control back (the sharded
-        executor's quiescence point; the base executor never stalls).
+        Whichever thread holds the baton resumes this generator, so the RNG
+        is drawn in one order no matter which threads do the drawing.
         """
-        with self._cond:
-            while True:
-                pending = [w for w in self._workers if w.state != _DONE]
-                if not pending:
-                    return "done"
-                if self.crashed:
-                    # Unwind parked workers: they resume only to observe
-                    # the crash and die (their locks are never released).
-                    for worker in pending:
-                        if worker.state == _BLOCKED:
-                            worker.state = _READY
-                runnable = [w for w in pending if w.state == _READY]
-                if not runnable:
-                    if not self._on_stall(pending):
-                        return "stalled"
-                    continue
-                self.now += 1
-                if self.now > self.max_ticks:
-                    raise SimulationError(
-                        "simulation exceeded max_ticks", seed=self.seed
-                    )
-                self.rng.shuffle(runnable)
-                for worker in runnable:
-                    if worker.state != _READY:
-                        continue  # blocked or finished earlier in this round
-                    worker.state = _RUNNING
-                    self._current = worker
-                    self._cond.notify_all()
-                    self._cond.wait_for(lambda: self._current == "controller")
+        while True:
+            pending = [w for w in self._workers if w.state != _DONE]
+            if not pending:
+                return "done"
+            if self.crashed:
+                # Unwind parked workers: they resume only to observe
+                # the crash and die (their locks are never released).
+                self._wake()
+            runnable = [w for w in pending if w.state == _READY]
+            if not runnable:
+                if not self._on_stall(pending):
+                    return "stalled"
+                continue
+            self.now += 1
+            if self.now > self._tick_limit:
+                raise SimulationError(
+                    "simulation exceeded max_ticks", seed=self.seed
+                )
+            self.rng.shuffle(runnable)
+            for worker in runnable:
+                if worker.state != _READY:
+                    continue  # blocked or finished earlier in this round
+                worker.state = _RUNNING
+                yield worker
+
+    def _pass_baton(self, me: _Worker | None) -> None:
+        """Take the next scheduling step and wake whoever it names.
+
+        Called by the thread that holds the baton — worker ``me``, or the
+        caller of :meth:`_controller_loop` (``None``) — which then parks
+        until the baton comes back, unless it is its own successor or is
+        finished.  Holding the baton is the mutual exclusion: everything
+        here, and every worker state flip, runs on one thread at a time.
+        """
+        try:
+            successor = next(self._steps)
+        except StopIteration as stop:
+            self._verdict, successor = stop.value, None
+        except BaseException as exc:  # re-raised by _controller_loop()
+            self._failure, successor = exc, None
+        else:
+            self.slices += 1
+        self._current = "controller" if successor is None else successor
+        if successor is me:
+            return
+        self.thread_switches += 1
+        (self._caller if successor is None else successor.baton).release()
+        if me is None:
+            self._caller.acquire()
+        elif me.state != _DONE:
+            me.baton.acquire()
 
     def _on_stall(self, pending: list[_Worker]) -> bool:
         """No worker is runnable: recover, stall, or fail.
 
-        Returns True to keep the controller loop going (after a recovery
-        action) and False to return control to the caller with the loop
-        state intact — only the sharded executor does the latter, at its
-        two-phase-commit quiescence point.  Called with ``_cond`` held.
+        Returns True to keep the schedule going (after a recovery action)
+        and False to return control to the caller with the workers parked
+        as they are — only the sharded executor does the latter, at its
+        two-phase-commit quiescence point.
         """
         errors = [
             w.outcome.error
@@ -441,9 +537,7 @@ class InterleavedExecutor:
             # them so they re-check their lock conditions.  Only when
             # drops actually happened — a stall without them is still a bug.
             self._wakeups_dropped = 0
-            for worker in pending:
-                if worker.state == _BLOCKED:
-                    worker.state = _READY
+            self._wake()
             return True
         blocked = {w.program.label: w.state for w in pending}
         raise SimulationError(
@@ -451,36 +545,56 @@ class InterleavedExecutor:
             seed=self.seed,
         )
 
+    def _abandon(self) -> None:
+        """The schedule failed: let every unfinished worker abort and exit.
+
+        The database may outlive this run (the service's does), so parked
+        threads and the locks of their open attempts must not.  Each worker
+        resumes into :class:`RunAbandoned`, rolls its attempt back — under
+        the ordinary schedule, since compensations take locks too — and
+        stops.  If even that fails the threads stay parked.
+        """
+        self._abandoned = True
+        self._wake()
+        self._tick_limit = self.now + self.max_ticks
+        try:
+            self._controller_loop()
+        except Exception:
+            return
+        finally:
+            self._abandoned = False
+        self._join_workers()
+
     # ------------------------------------------------------------------
     # worker-side primitives
     # ------------------------------------------------------------------
 
     def _wait_until_scheduled(self, worker: _Worker) -> None:
-        with self._cond:
-            self._cond.wait_for(lambda: self._current is worker)
-            if self.crashed:
-                raise SimulatedCrash("crash.unwind")
+        worker.baton.acquire()
+        self._resumed(worker)
 
-    def _yield_to_controller(self, worker: _Worker, new_state: str) -> None:
-        with self._cond:
-            worker.state = new_state
-            self._current = "controller"
-            self._cond.notify_all()
-            self._cond.wait_for(lambda: self._current is worker)
+    def _yield_baton(self, worker: _Worker, new_state: str) -> None:
+        worker.state = new_state
+        self._pass_baton(worker)
+        self._resumed(worker)
+
+    def _resumed(self, worker: _Worker) -> None:
+        """What a worker checks every time the baton comes back to it."""
+        if self.crashed:
             # Resumed into a dead system: the worker exists only to unwind.
-            if self.crashed:
-                raise SimulatedCrash("crash.unwind")
-
-    def _note_crash(self) -> None:
-        with self._cond:
-            self.crashed = True
+            raise SimulatedCrash("crash.unwind")
+        if self._abandoned:
+            # A rollback under way is allowed to finish, as with deadlines.
+            ctx = self.db._current_ctx()
+            if ctx is None or not ctx.runtime_data.get("compensating"):
+                raise RunAbandoned(worker.program.label)
 
     def _current_worker(self) -> _Worker | None:
         current = self._current
         return current if isinstance(current, _Worker) else None
 
     def checkpoint(self) -> None:
-        """Interleaving point: give the controller a chance to switch.
+        """Interleaving point: give the baton up so the schedule can switch.
 
         Doubles as the deadline watchdog: a program whose ``deadline_tick``
         has passed is aborted here with :class:`DeadlineExceeded` — except
@@ -492,7 +606,7 @@ class InterleavedExecutor:
         worker = self._current_worker()
         if worker is None or threading.current_thread() is not worker.thread:
             return  # bootstrap / non-simulated caller
-        self._yield_to_controller(worker, _READY)
+        self._yield_baton(worker, _READY)
         if self._deadline_passed(worker.program):
             ctx = self.db._current_ctx()
             if ctx is None or not ctx.runtime_data.get("compensating"):
@@ -515,14 +629,11 @@ class InterleavedExecutor:
         for _ in range(delay):
             if self._deadline_passed(worker.program):
                 return
-            self._yield_to_controller(worker, _READY)
+            self._yield_baton(worker, _READY)
 
     def _worker_done(self, worker: _Worker) -> None:
-        with self._cond:
-            worker.state = _DONE
-            if self._current is worker:
-                self._current = "controller"
-            self._cond.notify_all()
+        worker.state = _DONE
+        self._pass_baton(worker)
 
     # ------------------------------------------------------------------
     # WaitEnvironment (used by the locking schedulers)
@@ -541,40 +652,32 @@ class InterleavedExecutor:
             )
         blocked_at = self.now
         worker.wait_key = reason
-        self._yield_to_controller(worker, _BLOCKED)
+        self._yield_baton(worker, _BLOCKED)
         worker.wait_key = None
         ctx.stats.wait_ticks += self.now - blocked_at
 
-    # On notify-free wakeups: flipping ``state`` under ``_cond`` without
-    # ``notify_all()`` is safe here.  A parked worker waits on exactly one
-    # predicate — ``self._current is worker`` — and ``_current`` is changed
-    # only by the controller (or ``_worker_done``), both of which always
-    # notify afterwards.  ``state`` is *not* part of any wait predicate: the
-    # flip merely marks the worker schedulable, and the controller reads it
-    # at the top of its next round while holding ``_cond`` (it cannot be
-    # mid-``wait_for`` re-check, because wakers run inside a worker's
-    # execution slice, during which the controller is parked).  So no
-    # waiter can miss the transition; a ``notify_all()`` here would only
-    # cost spurious wakeup churn.
+    def _wake(self, keys=None) -> None:
+        """Make the blocked workers waiting on one of ``keys`` (all of them
+        when ``None``) runnable; they re-check their condition when next
+        scheduled.  Callers hold the baton, so no lock is taken."""
+        for worker in self._workers:
+            if worker.state == _BLOCKED and (
+                keys is None or worker.wait_key in keys
+            ):
+                worker.state = _READY
 
     def wake_all(self) -> None:
         """Make every blocked worker runnable again (they re-check locks)."""
-        with self._cond:
-            for worker in self._workers:
-                if worker.state == _BLOCKED:
-                    worker.state = _READY
+        self._wake()
 
     def wake_keys(self, keys) -> None:
         """Wake only the workers whose wait key is in ``keys``."""
-        with self._cond:
-            if self.faults is not None and self.faults.drop_wakeup():
-                # Fault injection: the release notification is lost.  The
-                # controller's lost-wakeup sweep is the safety net.
-                self._wakeups_dropped += 1
-                return
-            for worker in self._workers:
-                if worker.state == _BLOCKED and worker.wait_key in keys:
-                    worker.state = _READY
+        if self.faults is not None and self.faults.drop_wakeup():
+            # Fault injection: the release notification is lost.  The
+            # schedule's lost-wakeup sweep is the safety net.
+            self._wakeups_dropped += 1
+            return
+        self._wake(keys)
 
 
 def run_sequential(

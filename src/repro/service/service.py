@@ -70,7 +70,7 @@ from repro.service.admission import (
 OP_SEND = "send"
 OP_WORK = "work"
 
-#: executor tick budget per batch
+#: executor tick budget per batch (the executor counts it from each start())
 MAX_TICKS = 500_000
 #: how long the engine sleeps on an empty queue before re-checking stop
 IDLE_WAIT_S = 0.02
@@ -633,16 +633,19 @@ class TransactionService:
         try:
             outcomes = self._execute(batch)
         except BaseException as exc:
-            # A worker error (validated requests make this rare).  Recover
-            # the per-worker outcomes the executor already joined so no
-            # admitted request goes unsettled, then fail the stragglers; a
+            # A worker error (validated requests make this rare) or a
+            # failure of the schedule itself.  Recover the outcomes of the
+            # workers that finished so no admitted request goes unsettled,
+            # then fail the stragglers — the executor rolled those back; a
             # shard group's branch outcomes are partial, so all of its
             # batch fails.
             failure = exc
             outcomes = {}
             if self.executor is not None:
                 outcomes = {
-                    w.outcome.label: w.outcome for w in self.executor._workers
+                    w.outcome.label: w.outcome
+                    for w in self.executor._workers
+                    if w.outcome.finished
                 }
         else:
             self._batches.inc()

@@ -10,12 +10,7 @@ why a 1-shard run is byte-identical to ``execute_cell``.
 
 from __future__ import annotations
 
-from repro.runtime.executor import (
-    _BLOCKED,
-    _READY,
-    InterleavedExecutor,
-    _Worker,
-)
+from repro.runtime.executor import _BLOCKED, InterleavedExecutor, _Worker
 from repro.runtime.program import base_label
 from repro.shard.coordinator import ABORT, COMMIT
 
@@ -112,8 +107,4 @@ class ShardExecutor(InterleavedExecutor):
         if not decisions:
             return
         self.decisions.update(decisions)
-        keys = {f"2pc:{base}" for base in decisions}
-        with self._cond:
-            for worker in self._workers:
-                if worker.state == _BLOCKED and worker.wait_key in keys:
-                    worker.state = _READY
+        self._wake({f"2pc:{base}" for base in decisions})

@@ -8,6 +8,7 @@ import pytest
 from repro.oodb.session import DatabaseSession
 from repro.service.admission import TenantQuota
 from repro.service.service import (
+    MAX_TICKS,
     InvalidRequest,
     ServiceConfig,
     TransactionService,
@@ -160,6 +161,42 @@ class TestEngine:
         stats = svc.stats()["acme"]
         assert stats["outcomes"]["committed"] == 1
         assert stats["admission"]["executing"] == 0
+
+
+def _wave(svc: TransactionService, ops: list, n: int = 4) -> list[dict]:
+    """Submit ``n`` requests at once and collect their replies."""
+    pendings = [svc.submit_async(f"t{i % 2}", ops)[1] for i in range(n)]
+    return [pending.wait(60) for pending in pendings]
+
+
+class TestExecutorFailures:
+    def test_tick_budget_is_per_batch_not_per_lifetime(self, svc):
+        # The persistent executor's clock never resets; ~24k commits used to
+        # spend MAX_TICKS for good and every later request gave up.
+        svc.executor.now = MAX_TICKS - 3
+        for _ in range(3):
+            replies = _wave(svc, _ops(svc))
+            assert [r["status"] for r in replies] == ["committed"] * 4
+        assert svc.executor.now > MAX_TICKS
+
+    def test_controller_failure_is_answered_unwound_and_survivable(self, svc):
+        baseline = threading.active_count()
+        # Take a lock, then outlast the tick budget while holding it.
+        hog = _ops(svc) + [["work", 200]]
+        svc.executor.max_ticks = 40
+        for _ in range(3):
+            replies = _wave(svc, hog)
+            assert [r["status"] for r in replies] == ["error"] * 4
+            assert all("exceeded max_ticks" in r["error"] for r in replies)
+            # No worker thread of the failed batch stays parked ...
+            assert threading.active_count() == baseline
+        # ... and none of their attempts still holds the lock.
+        svc.executor.max_ticks = MAX_TICKS
+        replies = _wave(svc, _ops(svc))
+        assert [r["status"] for r in replies] == ["committed"] * 4
+        svc.stop()
+        assert svc.audit()["ok"]
+        assert not svc.certify().violation
 
 
 class TestAudit:

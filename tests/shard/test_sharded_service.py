@@ -5,7 +5,13 @@ import threading
 import pytest
 
 from repro.errors import DatabaseError
-from repro.service.service import ServiceConfig, TransactionService
+from repro.runtime.program import program_from_ops
+from repro.service.service import (
+    MAX_TICKS,
+    ServiceConfig,
+    TransactionService,
+)
+from repro.shard.partition import split_ops
 from repro.shard.service import ShardGroup
 
 
@@ -76,6 +82,43 @@ class TestShardedService:
         svc.stop()
         assert svc.audit()["ok"]
         assert not svc.certify().violation
+
+    def test_a_cross_shard_transaction_stalls_then_finishes_across_epochs(
+        self, svc
+    ):
+        # The epoch contract between ShardState and the executor, driven by
+        # hand while the engine idles: a branch parked for its 2PC verdict
+        # ends the epoch "stalled", the verdict resumes it to "done".
+        group = svc.db
+        before = threading.active_count()
+        split = split_ops(_cross_shard_ops(svc), group.shard_map)
+        multi = {"x": tuple(sorted(split))}
+        group.coordinator.register(multi)
+        for unit in group.units:
+            unit.start([program_from_ops("x", split[unit.shard_id])], multi)
+
+        reports = [unit.run_epoch({}, 0) for unit in group.units]
+        assert [r["status"] for r in reports] == ["stalled", "stalled"]
+        assert [r["prepared"] for r in reports] == [["x"], ["x"]]
+        assert threading.active_count() == before + 2
+
+        decisions = group.coordinator.round(reports)
+        assert decisions == {"x": "commit"}
+
+        reports = [unit.run_epoch(decisions, 0) for unit in group.units]
+        assert [r["status"] for r in reports] == ["done", "done"]
+        for unit in group.units:
+            assert unit.finish().all_committed
+        assert threading.active_count() == before
+
+    def test_tick_budget_is_per_batch_on_every_shard(self, svc):
+        # Shard executors are as long-lived as the service's single one.
+        for unit in svc.db.units:
+            unit.executor.now = MAX_TICKS - 3
+        for _ in range(3):
+            reply = svc.submit("acme", _cross_shard_ops(svc))
+            assert reply["status"] == "committed", reply
+        assert all(unit.executor.now > MAX_TICKS for unit in svc.db.units)
 
     def test_certify_reports_requests_that_gave_up(self, svc):
         assert svc.submit("acme", _ops(svc))["status"] == "committed"
