@@ -357,6 +357,7 @@ def _bufferpool_section() -> dict:
                 store.allocate(f"P{n}")
             store.flush_dirty()
             elapsed = _run_pool(store, pattern)
+            store.close()
             pool = store.pool
             accesses = pool.hits + pool.misses
             rows.append(

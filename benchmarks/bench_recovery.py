@@ -177,6 +177,7 @@ def _sweep_history(root, factor):
     db.send(loser, oids[0], "add", 1000)
     wal.crash()
     db.store.crash()
+    db.store.close()
     return wal.to_list(), wal.next_lsn - tail_start
 
 
@@ -200,6 +201,7 @@ def _time_durable_recovery(root, records):
         report = recover(wal, db, store=store)
         elapsed = 1000.0 * (time.perf_counter() - start)
         digest = store_digest(db.store)
+        store.close()
         best_ms = elapsed if best_ms is None else min(best_ms, elapsed)
         shutil.rmtree(copy.parent)
     return best_ms, report, digest

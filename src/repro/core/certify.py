@@ -212,7 +212,6 @@ class OnlineCertifier:
         #: (txn, extras) in fed order — the escalation catch-up replay
         self._log: list[tuple[OOTransaction, tuple[ActionNode, ...]]] = []
         self._timelines: dict[ObjectId, _Timeline] = {}
-        self._top_ids = {id(txn) for txn in system._tops}
         if metrics is not None:
             self._m_fast = metrics.counter(
                 "certify_fast_commits_total",
@@ -246,9 +245,7 @@ class OnlineCertifier:
         if self.violated:
             return False
         self.committed += 1
-        if id(txn) not in self._top_ids:
-            self.system._tops.append(txn)
-            self._top_ids.add(id(txn))
+        self.system.adopt(txn)
         if self._engine is not None:
             return self._feed_engine(txn)
         extras: tuple[ActionNode, ...] = ()

@@ -577,8 +577,7 @@ class IncrementalDependencyEngine:
         the linearize/extend pass itself, e.g. globally up front — and the
         given duplicates are integrated alongside the tree's own actions.
         """
-        if all(existing is not txn for existing in self.system._tops):
-            self.system._tops.append(txn)
+        self.system.adopt(txn)
         if self._m_appends is not None:
             self._m_appends.value += 1
         if extras is None:

@@ -62,6 +62,7 @@ class TransactionSystem:
 
     def __init__(self) -> None:
         self._tops: list[OOTransaction] = []
+        self._by_label: dict[str, OOTransaction] = {}
         self._declared_objects: set[ObjectId] = {SYSTEM_OBJECT}
         self._seq_counter: list[int] = [0]
 
@@ -71,7 +72,7 @@ class TransactionSystem:
         """Create a new top-level transaction (an action on the system object)."""
         index = len(self._tops) + 1
         label = label or f"T{index}"
-        if any(t.label == label for t in self._tops):
+        if label in self._by_label:
             raise ModelError(f"duplicate top-level transaction label {label!r}")
         root = ActionNode(
             aid=(index,),
@@ -84,8 +85,24 @@ class TransactionSystem:
         root._seq_counter = self._seq_counter
         root.seq = self._next_seq()
         txn = OOTransaction(label, root)
-        self._tops.append(txn)
+        self.adopt(txn)
         return txn
+
+    def adopt(self, txn: OOTransaction) -> None:
+        """Make ``txn`` a member of TOP; a no-op when it already is one.
+
+        The one way into ``_tops``: projections and the incremental
+        analyses share trees built by another system and enter them here.
+        """
+        member = self._by_label.get(txn.label)
+        if member is txn:
+            return
+        if member is not None:
+            raise ModelError(
+                f"duplicate top-level transaction label {txn.label!r}"
+            )
+        self._by_label[txn.label] = txn
+        self._tops.append(txn)
 
     def declare_object(self, oid: ObjectId) -> ObjectId:
         """Add an object to OBJ even if no action accesses it yet."""
@@ -122,10 +139,12 @@ class TransactionSystem:
         return list(self._tops)
 
     def top(self, label: str) -> OOTransaction:
-        for txn in self._tops:
-            if txn.label == label:
-                return txn
-        raise ModelError(f"no top-level transaction labelled {label!r}")
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise ModelError(
+                f"no top-level transaction labelled {label!r}"
+            ) from None
 
     @property
     def objects(self) -> set[ObjectId]:

@@ -48,7 +48,7 @@ RECOVERY_SITES = ("recovery.step",)
 DURABLE_CRASH_SITES = (
     "checkpoint.mid",      # between ckpt-begin and ckpt-end
     "eviction.mid",        # log forced, dirty victim not yet written back
-    "writeback.torn",      # mid page-image write (torn .tmp, image intact)
+    "writeback.torn",      # mid image append (torn log tail, older image intact)
 )
 
 

@@ -145,18 +145,26 @@ class _DurableBackend:
         self.root = root
         self.config = durable.to_dict()
         self.checkpoint_every = durable.checkpoint_every
+        #: every store handed out; each holds a descriptor until closed
+        self._stores: list[FileBackedPageStore] = []
 
     def store(self, leg: str, forward: bool = False) -> FileBackedPageStore:
         """Only the *forward* (pre-crash) run carries the ``skip_log_force``
         ablation; recovery legs always honor the WAL rule — the ablation is
         about planting phantom durable effects, not about breaking
         recovery."""
-        return FileBackedPageStore(
+        store = FileBackedPageStore(
             os.path.join(self.root, leg),
             frames=self.durable.frames,
             default_capacity=self.spec.page_capacity,
             skip_log_force=forward and self.durable.skip_log_force,
         )
+        self._stores.append(store)
+        return store
+
+    def close(self) -> None:
+        for store in self._stores:
+            store.close()
 
     def fork(self, src: str, dst: str) -> None:
         shutil.copytree(
@@ -171,7 +179,11 @@ def _backend(spec: WorkloadSpec, durable: DurableConfig | None):
         yield _MemoryBackend()
         return
     with tempfile.TemporaryDirectory(prefix="repro-crash-") as root:
-        yield _DurableBackend(spec, durable, root)
+        backend = _DurableBackend(spec, durable, root)
+        try:
+            yield backend
+        finally:
+            backend.close()
 
 
 def _recover_leg(spec: WorkloadSpec, wal: WriteAheadLog, store=None, **kwargs):

@@ -38,7 +38,7 @@ def committed_projection(
     projection._seq_counter = system._seq_counter  # share the clock
     for txn in system.tops:
         if txn.label in wanted:
-            projection._tops.append(txn)
+            projection.adopt(txn)
     for oid in system.objects:
         projection.declare_object(oid)
     return projection

@@ -22,6 +22,40 @@ def test_duplicate_labels_rejected():
         system.transaction("T1")
 
 
+def test_adopt_is_idempotent_and_refuses_a_second_tree_under_one_label():
+    system = TransactionSystem()
+    t1 = system.transaction("T1")
+    system.adopt(t1)  # already a member: no second entry
+    assert system.tops == [t1]
+    other = TransactionSystem()
+    other.adopt(t1)  # a projection sharing the tree
+    assert other.top("T1") is t1
+    with pytest.raises(ModelError):
+        other.transaction("T1")
+    with pytest.raises(ModelError):
+        system.adopt(TransactionSystem().transaction("T1"))
+
+
+def test_beginning_a_transaction_does_not_scan_the_earlier_ones():
+    class CountingLabel(str):
+        compared = 0
+
+        def __eq__(self, other):
+            CountingLabel.compared += 1
+            return str.__eq__(self, other)
+
+        __hash__ = str.__hash__
+
+    system = TransactionSystem()
+    for n in range(10_000):
+        system.transaction(CountingLabel(f"txn#{n}"))
+    CountingLabel.compared = 0
+    system.transaction(CountingLabel("txn#10000"))
+    assert CountingLabel.compared <= 2  # hash collisions only, not 10 000
+    with pytest.raises(ModelError):
+        system.transaction(CountingLabel("txn#77"))
+
+
 def test_top_lookup():
     system = TransactionSystem()
     t1 = system.transaction("T1")

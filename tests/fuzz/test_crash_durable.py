@@ -20,6 +20,7 @@ from repro.fuzz.crash import (
     crash_census,
     replay_crash,
     run_armed_cell,
+    run_crash_campaign,
     run_crash_cell,
 )
 from repro.fuzz.generator import GeneratorProfile, WorkloadSpec, generate
@@ -115,3 +116,18 @@ class TestLogForceAblation:
         )
         assert outcome.crashed
         assert outcome.ok, outcome.violations
+
+
+class TestDescriptors:
+    def test_a_durable_campaign_closes_every_image_log_it_opened(self):
+        # every leg of every cell opens a store, and each store holds one
+        # descriptor on its image log until the cell's backend closes it
+        before = len(os.listdir("/proc/self/fd"))
+        report = run_crash_campaign(
+            seeds=[0, 1],
+            protocols=("open-nested-oo",),
+            profile=SMOKE,
+            durable=DURABLE,
+        )
+        assert report.ok and report.crash_runs > 0
+        assert len(os.listdir("/proc/self/fd")) == before

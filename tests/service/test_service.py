@@ -1,6 +1,7 @@
 """The in-process service engine: batching, settlement, deadlines, the
 ledger audit, and oracle certification of the whole service run."""
 
+import os
 import threading
 
 import pytest
@@ -29,6 +30,23 @@ def svc():
     service.start()
     yield service
     service.stop()
+
+
+def test_start_stop_on_a_data_dir_returns_every_descriptor(tmp_path):
+    before = len(os.listdir("/proc/self/fd"))
+    service = TransactionService(
+        ServiceConfig(
+            protocol="page-2pl", seed=3, data_dir=str(tmp_path), frames=2
+        )
+    )
+    service.start()
+    assert service.submit("acme", _ops(service))["status"] == "committed"
+    service.stop()
+    assert len(os.listdir("/proc/self/fd")) == before
+    # the stopped service's store still serves its pages (from the log)
+    store = service.db.store
+    assert all(store.get(page_id) is not None for page_id in store.page_ids)
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestSessions:
