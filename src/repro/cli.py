@@ -754,7 +754,9 @@ def cmd_certify(args) -> int:
     print(
         f"certify {label} under {protocol}: "
         f"{'VIOLATION' if report.violation else 'ok'} "
-        f"({report.committed} committed, {report.actions} actions; "
+        f"({report.committed} committed, {report.actions} actions, "
+        f"{report.epochs} epoch{'' if report.epochs == 1 else 's'} / "
+        f"{report.escalated_epochs} escalated; "
         f"{report.fast_commits} fast / {report.escalated_commits} exact, "
         f"{report.stragglers_scanned} stragglers scanned"
         + (

@@ -35,11 +35,11 @@ Everything else is *suspicious* and **escalates**: a straggler stamp that
 lands inside an already-certified timeline next to a conflicting action,
 an unordered sibling pair, a non-monotone stamp inside one tree, or a
 Definition 5 extension that manufactures virtual duplicates.  Escalation
-is sticky — the certifier replays the full fed history through the exact
-:class:`~repro.core.dependency.IncrementalDependencyEngine` (same
-strictness, online cycle watchers) and routes every later commit through
-it, so verdicts are exactly the engine's.  On violation the caller
-obtains the canonical report (witness strings included) from
+is sticky *within an epoch* — the certifier replays the epoch's fed trees
+through the exact :class:`~repro.core.dependency.IncrementalDependencyEngine`
+(same strictness, online cycle watchers) and routes every later commit of
+the epoch through it, so verdicts are exactly the engine's.  On violation
+the caller obtains the canonical report (witness strings included) from
 :func:`repro.fuzz.oracle.check_history`, which re-analyzes the same
 already-linearized, already-extended trees — byte-identical to judging
 the history without a certifier in the loop.
@@ -47,6 +47,26 @@ the history without a certifier in the loop.
 Conflict-sparse stretches — the common case in long histories — therefore
 certify in near-linear time: one tree walk plus an O(1) append per action,
 with a bounded ``bisect`` window scan only when stamps interleave.
+
+**Epochs.**  The direction argument above is also a retire rule.  When the
+caller knows a *quiescent point* — everything fed so far lies wholly
+before everything it will feed later, i.e. every later stamp exceeds every
+stamp already fed — it calls :meth:`OnlineCertifier.seal`.  Every bootstrap
+edge between a tree fed before the seal and one fed after it is then
+oriented before→after by ``(seq, aid)`` (Axiom 1; Definition 5 duplicates
+replay their original's stamp; Definition 7 edges never leave a tree), and
+every derived edge keeps the endpoint trees and the direction of exactly
+one bootstrap edge.  No watched relation can close a cycle through a mixed
+edge, so a cycle lies wholly on one side of the seal: the before side is
+already certified, and the after side never needed a before-tree.  The
+certifier therefore drops everything it holds and starts the next epoch on
+the fast path; its work and memory are bounded by one epoch, not by the
+history.  The promise is checked, not trusted: a tree carrying a stamp at
+or below the sealed high-water mark is refused with a
+:class:`~repro.errors.ScheduleError` (DESIGN §6.15 has the proof per
+definition).  A certifier that is never sealed — the offline
+:func:`certify_history` path, whose trees all overlap — runs one epoch and
+behaves exactly as before.
 """
 
 from __future__ import annotations
@@ -61,6 +81,7 @@ from repro.core.dependency import IncrementalDependencyEngine, linearize_effects
 from repro.core.extension import extend_system
 from repro.core.identifiers import SYSTEM_OBJECT, ObjectId, is_virtual
 from repro.core.transactions import OOTransaction, TransactionSystem
+from repro.errors import ScheduleError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fuzz.oracle import Ablation, OracleReport
@@ -92,6 +113,10 @@ class CertificationReport:
     escalated: bool
     escalation_reason: str | None
     gave_up: int = 0
+    #: epochs that observed a commit (a never-sealed certifier runs one)
+    #: and how many of them escalated; the counters above are cumulative
+    epochs: int = 0
+    escalated_epochs: int = 0
     #: canonical exact-engine report, attached whenever ``ok`` is False
     #: (and on demand for consumers that need the conventional baseline)
     oracle: "OracleReport | None" = field(default=None, repr=False)
@@ -156,6 +181,12 @@ class _Timeline:
 class OnlineCertifier:
     """Certify committed transactions one at a time against a growing history.
 
+    The state the certifier holds — the exact engine, the catch-up log,
+    the per-object timelines, the trees in ``system`` — belongs to the
+    current *epoch*.  :meth:`seal` ends the epoch at a quiescent point and
+    drops all of it; the counters, ``escalated`` ("some epoch escalated"),
+    ``escalation_reason`` (the most recent) and ``violated`` are cumulative.
+
     Parameters
     ----------
     system:
@@ -208,10 +239,17 @@ class OnlineCertifier:
         self.escalation_reason: str | None = None
         #: flips at the first commit whose integration closes a cycle
         self.violated = False
+        self.epochs = 0
+        self.escalated_epochs = 0
+        #: trees fed since the last seal (what the certifier still holds)
+        self.live_transactions = 0
         self._engine: IncrementalDependencyEngine | None = None
         #: (txn, extras) in fed order — the escalation catch-up replay
         self._log: list[tuple[OOTransaction, tuple[ActionNode, ...]]] = []
         self._timelines: dict[ObjectId, _Timeline] = {}
+        #: highest stamp fed so far / as of the last seal
+        self._high_seq = 0
+        self._sealed_seq = 0
         if metrics is not None:
             self._m_fast = metrics.counter(
                 "certify_fast_commits_total",
@@ -225,8 +263,17 @@ class OnlineCertifier:
                 "certify_stragglers_scanned_total",
                 "timeline entries scanned for straggler conflicts",
             )
+            self._m_epochs = metrics.counter(
+                "certify_epochs_total",
+                "certification epochs that observed a commit",
+            )
+            self._m_live = metrics.gauge(
+                "certify_live_transactions",
+                "committed trees the certifier currently holds",
+            )
         else:
             self._m_fast = self._m_exact = self._m_stragglers = None
+            self._m_epochs = self._m_live = None
 
     # -- public API ----------------------------------------------------------
 
@@ -244,6 +291,7 @@ class OnlineCertifier:
         """
         if self.violated:
             return False
+        self._admit(txn)
         self.committed += 1
         self.system.adopt(txn)
         if self._engine is not None:
@@ -268,8 +316,39 @@ class OnlineCertifier:
             self._m_exact.value += 1
         return not self.violated
 
+    def seal(self) -> None:
+        """End the epoch: everything fed so far precedes everything to come.
+
+        The caller promises a quiescent point — every tree it feeds from
+        now on carries only stamps above every stamp fed so far (the
+        service calls this between executor batches, when nothing is in
+        flight and the shared stamp clock only moves forward).  Under that
+        promise no cycle can span the seal (module docstring), so the
+        exact engine, the catch-up log, the timelines, the trees held in
+        ``system`` and the virtual objects declared for them are dropped
+        and the next commit starts on the fast path.  :meth:`observe_commit`
+        enforces the promise stamp by stamp.
+
+        ``system`` must be private to the certifier (:func:`certified_base`):
+        its TOP set is emptied.  A violation is final, so sealing a
+        violated certifier is a no-op — nothing is certified after it and
+        the engine that found the cycle stays inspectable.
+        """
+        if self.violated:
+            return
+        self._engine = None
+        self._log.clear()
+        self._timelines.clear()
+        self.system.retire_tops()
+        self._sealed_seq = self._high_seq
+        self.live_transactions = 0
+        if self._m_live is not None:
+            self._m_live.value = 0
+
     def escalate(self, reason: str) -> None:
-        """Switch to the exact engine (sticky), replaying the fed history.
+        """Switch to the exact engine, replaying the epoch's fed trees.
+
+        Sticky until the next :meth:`seal`.
 
         Public so callers that *know* the fast path cannot apply — e.g.
         the offline path when the global extension produced duplicates —
@@ -279,6 +358,7 @@ class OnlineCertifier:
             return
         self.escalated = True
         self.escalation_reason = reason
+        self.escalated_epochs += 1
         engine = IncrementalDependencyEngine(
             self.system,
             self.commutativity,
@@ -308,7 +388,37 @@ class OnlineCertifier:
             escalated=self.escalated,
             escalation_reason=self.escalation_reason,
             gave_up=gave_up,
+            epochs=self.epochs,
+            escalated_epochs=self.escalated_epochs,
         )
+
+    def _admit(self, txn: OOTransaction) -> None:
+        """Hold ``txn`` to the last seal's promise, then count it in.
+
+        Every stamp of the tree must exceed the sealed high-water mark —
+        the precondition of the retire rule.  A tree that breaks it is
+        refused before anything is mutated: an error, never a verdict.
+        """
+        sealed = self._sealed_seq
+        high = self._high_seq
+        for action in txn.actions():
+            seq = action.seq
+            if seq <= sealed:
+                raise ScheduleError(
+                    f"{txn.label}: {action.label} is stamped {seq}, at or "
+                    f"below the sealed high-water mark {sealed}; the seal "
+                    "was premature (the history was not quiescent)"
+                )
+            if seq > high:
+                high = seq
+        self._high_seq = high
+        if self.live_transactions == 0:
+            self.epochs += 1
+            if self._m_epochs is not None:
+                self._m_epochs.value += 1
+        self.live_transactions += 1
+        if self._m_live is not None:
+            self._m_live.value += 1
 
     # -- the fast path --------------------------------------------------------
 

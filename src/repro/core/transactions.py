@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.errors import ModelError
 from repro.core.actions import ActionNode
-from repro.core.identifiers import SYSTEM_OBJECT, ObjectId
+from repro.core.identifiers import SYSTEM_OBJECT, ObjectId, is_virtual
 
 
 class OOTransaction:
@@ -103,6 +103,22 @@ class TransactionSystem:
             )
         self._by_label[txn.label] = txn
         self._tops.append(txn)
+
+    def retire_tops(self) -> None:
+        """Empty TOP and forget the virtual objects declared for its trees.
+
+        For an analysis-private system whose owner is done with the trees
+        it adopted (:meth:`repro.core.certify.OnlineCertifier.seal`); the
+        trees themselves and the stamp clock are untouched.  Virtual names
+        go with the trees that carried them, so the Definition 5 extension
+        of a later tree starts again at ``O′`` instead of walking past
+        every name the system ever used.
+        """
+        self._tops.clear()
+        self._by_label.clear()
+        self._declared_objects = {
+            oid for oid in self._declared_objects if not is_virtual(oid)
+        }
 
     def declare_object(self, oid: ObjectId) -> ObjectId:
         """Add an object to OBJ even if no action accesses it yet."""

@@ -162,7 +162,15 @@ class DatabaseObject:
 
     @classmethod
     def method_spec(cls, name: str) -> MethodSpec:
-        specs = cls.method_specs()
+        # Every dispatch lands here, so the table is built once per class
+        # and kept in the class's *own* namespace: a subclass looks in its
+        # own ``__dict__``, never inherits its parent's table, and so sees
+        # the ``@dbmethod``s it adds.  (Methods are fixed at class
+        # definition; one attached later is not picked up.)
+        specs = cls.__dict__.get("_method_spec_table")
+        if specs is None:
+            specs = cls.method_specs()
+            cls._method_spec_table = specs
         if name not in specs:
             from repro.errors import UnknownMethodError
 

@@ -323,6 +323,9 @@ class TransactionService:
         self._submit_gate = threading.Lock()
         self._outcomes: list = []
         self._outcome_by_label: dict[str, object] = {}
+        #: running ``len(history_result().gave_up)`` — the audit reports it
+        #: without copying the outcome list under the certifier's lock
+        self._gave_up = 0
         self._outcome_lock = threading.Lock()
         self._stopping = False
         self._engine: threading.Thread | None = None
@@ -355,8 +358,10 @@ class TransactionService:
         self._certifier: OnlineCertifier | None = None
         if self.config.online_certify and self._group is None:
             # The online audit: every settled batch's commits are certified
-            # against the growing history, in the engine thread (the
-            # executor is idle between batches, so the trees are quiescent).
+            # in the engine thread, one certifier epoch per batch.  Between
+            # two batches nothing is in flight and the shared stamp clock
+            # only moves forward, so the batch is sealed once it is fed and
+            # the certifier holds at most batch_max trees (_certify_batch).
             # It is a single-history device; the composed sharded oracle
             # (ShardGroup.certify) is the audit surface of a shard group.
             self._certifier = OnlineCertifier(
@@ -667,6 +672,13 @@ class TransactionService:
         per-batch feeding preserves the global commit order) and the lag
         gauge exposes the backlog — it is bounded by ``batch_max`` and
         returns to zero before the next batch starts.
+
+        ``executor.run()`` has returned (or unwound and joined its workers)
+        by now, so this is a quiescent point: every stamp the next batch
+        draws exceeds every stamp fed here.  The batch is therefore sealed
+        as one certifier epoch, which is what keeps the audit's cost and
+        memory flat in the length of the history; the certifier itself
+        refuses the next tree if that promise is ever broken.
         """
         if self._certifier is None:
             return
@@ -684,6 +696,7 @@ class TransactionService:
                 self._certifier.observe_commit(outcome.final_ctx.txn)
                 self._certified.inc()
                 self._certify_lag.dec()
+            self._certifier.seal()
 
     def _settle(self, request: _Request, outcome) -> None:
         if outcome.committed:
@@ -701,6 +714,8 @@ class TransactionService:
         with self._outcome_lock:
             self._outcomes.append(outcome)
             self._outcome_by_label[request.label] = outcome
+            if outcome.gave_up:
+                self._gave_up += 1
             self._settled.labels(tenant=request.tenant, status=status).inc()
         response = {
             "status": status,
@@ -781,18 +796,14 @@ class TransactionService:
         forces the full :func:`check_history` replay.
         """
         if self._group is not None:
-            return self._group.certify(
-                ablation, gave_up=len(self.history_result().gave_up)
-            )
+            return self._group.certify(ablation, gave_up=self._gave_up)
         strict = strictness_for(self.config.protocol)
         if ablation is not None or exact or self._certifier is None:
             return check_history(
                 self.history_result(), ablation, strict_cross_object=strict
             )
         with self._certifier_lock:
-            report = self._certifier.report(
-                gave_up=len(self.history_result().gave_up)
-            )
+            report = self._certifier.report(gave_up=self._gave_up)
         if report.violation:
             report.oracle = check_history(
                 self.history_result(), None, strict_cross_object=strict
@@ -804,9 +815,7 @@ class TransactionService:
         if self._certifier is None:
             return None
         with self._certifier_lock:
-            return self._certifier.report(
-                gave_up=len(self.history_result().gave_up)
-            )
+            return self._certifier.report(gave_up=self._gave_up)
 
     def stats(self) -> dict:
         """Per-tenant stats: admission state + terminal-status tallies."""

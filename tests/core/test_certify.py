@@ -13,11 +13,17 @@ import pytest
 
 from repro.core.certify import (
     ESCALATE_CONFLICT,
+    ESCALATE_EXTENSION,
     ESCALATE_NONMONOTONE,
     ESCALATE_WINDOW,
     CertificationReport,
+    OnlineCertifier,
+    certified_base,
     certify_history,
 )
+from repro.core.commutativity import CommutativityRegistry
+from repro.core.transactions import TransactionSystem
+from repro.errors import ScheduleError
 from repro.fuzz.driver import execute_cell
 from repro.fuzz.generator import GeneratorProfile, generate
 from repro.fuzz.oracle import check_history, strictness_for
@@ -97,6 +103,8 @@ class TestFastPath:
         assert report.committed > 0
         assert report.fast_commits == report.committed
         assert report.escalated_commits == 0
+        # one fuzz run is one epoch: all of its trees overlap
+        assert (report.epochs, report.escalated_epochs) == (1, 0)
 
     def test_judge_history_agrees_with_oracle(self):
         for protocol in ("page-2pl", "open-nested-oo"):
@@ -189,3 +197,89 @@ class TestAdversarialMutations:
                 a, b = rng.sample(actions, 2)
                 a.seq, b.seq = b.seq, a.seq
             _parity(result, protocol)
+
+
+def _online(source: TransactionSystem) -> OnlineCertifier:
+    """A certifier fed from ``source`` the way the service feeds its own."""
+    return OnlineCertifier(certified_base(source), CommutativityRegistry())
+
+
+def _call_cycle(source: TransactionSystem, label: str):
+    """A tree whose ``O.a`` reaches ``O.c`` through ``P`` (Definition 5)."""
+    txn = source.transaction(label)
+    txn.call("O", "a").call("P", "b").call("O", "c")
+    return txn
+
+
+def _cross_cycle(source: TransactionSystem):
+    """T1 and T2 meet on X and Y in opposite orders: not oo-serializable."""
+    t1, t2 = source.transaction("T1"), source.transaction("T2")
+    x1, y2 = t1.call("X", "write"), t2.call("Y", "write")
+    y1, x2 = t1.call("Y", "write"), t2.call("X", "write")
+    source.order_primitives([x1, y2, y1, x2])
+    return t1, t2
+
+
+class TestSeal:
+    def test_seal_drops_the_epoch_and_restarts_on_the_fast_path(self):
+        source = TransactionSystem()
+        certifier = _online(source)
+        assert certifier.observe_commit(_call_cycle(source, "T1"))
+        assert certifier.escalation_reason == ESCALATE_EXTENSION
+        assert certifier.live_transactions == 1
+        certifier.seal()
+        assert certifier._engine is None
+        assert certifier._log == [] and certifier._timelines == {}
+        assert certifier.system.tops == []
+        assert certifier.live_transactions == 0
+        plain = source.transaction("T2")
+        plain.call("O", "a")
+        assert certifier.observe_commit(plain)
+        report = certifier.report()
+        assert (report.epochs, report.escalated_epochs) == (2, 1)
+        assert (report.fast_commits, report.escalated_commits) == (1, 1)
+        # cumulative: some epoch escalated, for this most recent reason
+        assert report.escalated and report.committed == 2
+        assert report.escalation_reason == ESCALATE_EXTENSION
+
+    def test_virtual_names_start_over_after_a_seal(self):
+        # Unsealed, every offender on O walks one name further (O′, O′′, …);
+        # a seal retires the names with the trees that carried them.
+        def offender_homes(certifier, source, seal: bool) -> list:
+            trees = [_call_cycle(source, "T1"), _call_cycle(source, "T2")]
+            for txn in trees:
+                certifier.observe_commit(txn)
+                if seal:
+                    certifier.seal()
+            return [a.obj for t in trees for a in t.actions() if a.method == "c"]
+
+        source = TransactionSystem()
+        assert offender_homes(_online(source), source, seal=True) == ["O′", "O′"]
+        source = TransactionSystem()
+        assert offender_homes(_online(source), source, seal=False) == ["O′", "O′′"]
+
+    def test_premature_seal_is_refused(self):
+        # The leak the check exists for: T1 and T2 overlap and close a
+        # cycle; drop T1 between them, and T2 alone would look fine.
+        source = TransactionSystem()
+        certifier = _online(source)
+        t1, t2 = _cross_cycle(source)
+        assert certifier.observe_commit(t1)
+        certifier.seal()
+        with pytest.raises(ScheduleError, match="premature"):
+            certifier.observe_commit(t2)
+        # refused before anything moved: an error is not a verdict
+        assert certifier.oo_serializable
+        assert certifier.committed == 1 and certifier.live_transactions == 0
+
+    def test_a_violation_is_final_across_seals(self):
+        source = TransactionSystem()
+        certifier = _online(source)
+        t1, t2 = _cross_cycle(source)
+        assert certifier.observe_commit(t1)
+        assert not certifier.observe_commit(t2)
+        certifier.seal()  # a no-op: the engine that found the cycle stays
+        assert certifier._engine is not None and certifier.violated
+        assert certifier.live_transactions == 2
+        assert not certifier.observe_commit(source.transaction("T3"))
+        assert certifier.report().violation

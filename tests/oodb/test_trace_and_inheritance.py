@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.commutativity import MatrixCommutativity
+from repro.errors import UnknownMethodError
 from repro.oodb import DatabaseObject, ObjectDatabase, dbmethod
 from repro.oodb.trace import analyze_committed, committed_projection
 from repro.runtime import InterleavedExecutor, TransactionProgram
@@ -61,6 +62,25 @@ class TestInheritance:
         specs = VersionedStore.method_specs()
         assert specs["put"].func.__qualname__.startswith("VersionedStore")
         assert specs["get"].func.__qualname__.startswith("Store")
+
+    def test_dispatch_table_is_cached_per_class_not_inherited(self):
+        # Parent first, so a cache that leaked down the MRO would hide the
+        # subclass's own method.
+        assert Store.method_spec("put").func.__qualname__.startswith("Store")
+        spec = VersionedStore.method_spec("get_with_version")
+        assert spec is VersionedStore.method_spec("get_with_version")
+        assert VersionedStore.method_spec("put").func.__qualname__.startswith(
+            "VersionedStore"
+        )
+        assert Store.__dict__["_method_spec_table"].keys() == {"get", "put"}
+        assert (
+            VersionedStore.__dict__["_method_spec_table"]
+            is not Store.__dict__["_method_spec_table"]
+        )
+        with pytest.raises(UnknownMethodError):
+            Store.method_spec("get_with_version")
+        with pytest.raises(UnknownMethodError):
+            VersionedStore.method_spec("drop")
 
     def test_commutativity_inherited(self):
         assert VersionedStore.commutativity is Store.commutativity

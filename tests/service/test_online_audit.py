@@ -4,15 +4,28 @@ Every committed batch is fed to an :class:`OnlineCertifier` in commit
 order, so ``certify()`` answers from the running certifier instead of
 re-deriving the fixpoint — and the certification lag gauge proves the
 audit never falls behind the history.
+
+Each batch is one certifier *epoch*: once fed it is sealed and dropped.
+``TestRetireRule`` holds that rule to the exact oracle (sealed ≡ exact,
+sealed ≡ never sealed), shows that a seal at a non-quiescent point is
+refused — and that unrefused it would have been wrong — and counts the
+certifier's work and state over a long run.
 """
 
+import functools
+import random
 import threading
 
 import pytest
 
-from repro.fuzz.oracle import check_history, strictness_for
+from repro.core.certify import OnlineCertifier, certified_base
+from repro.core.identifiers import is_virtual
+from repro.errors import ScheduleError
+from repro.fuzz.driver import FUZZ_PROTOCOLS
+from repro.fuzz.oracle import Ablation, check_history, strictness_for
 from repro.service.admission import TenantQuota
-from repro.service.service import ServiceConfig, TransactionService
+from repro.service.client import generate_ops
+from repro.service.service import MAX_TICKS, ServiceConfig, TransactionService
 
 
 def _ops(svc: TransactionService, n: int = 1, key: int = 0) -> list:
@@ -117,6 +130,287 @@ class TestOnlineAudit:
         )
         assert report.oo_serializable == exact.oo_serializable
         assert service.db.metrics.get("service_certify_lag").value == 0
+
+
+# -- the retire rule ---------------------------------------------------------
+
+CATALOGS = (1, 2, 7, 8)
+WAVE = 8
+
+
+class _Recorder(OnlineCertifier):
+    """The service's certifier, remembering what it was fed and answered."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fed: list = []
+        self.verdicts: list = []
+
+    def observe_commit(self, txn):
+        ok = super().observe_commit(txn)
+        self.fed.append(txn)
+        self.verdicts.append(ok)
+        return ok
+
+
+class _Leaky(OnlineCertifier):
+    """The wrong retire rule: seal after every commit, never check."""
+
+    def observe_commit(self, txn):
+        ok = super().observe_commit(txn)
+        self.seal()
+        self._sealed_seq = 0
+        return ok
+
+
+def _certifier(svc, ablation, cls=OnlineCertifier, **kwargs):
+    """A certifier built the way the service builds its own."""
+    registry = svc.db.commutativity_registry().copy()
+    if ablation is not None:
+        registry = ablation.apply(registry)
+    return cls(
+        certified_base(svc.db.system),
+        registry,
+        strict_cross_object=strictness_for(svc.config.protocol),
+        **kwargs,
+    )
+
+
+def _waves(svc, rng, waves: int) -> list:
+    """Full batches: submit ``WAVE`` requests, wait for all, repeat."""
+    catalog = svc.catalog()
+    statuses = []
+    for _ in range(waves):
+        pending = [
+            svc.submit_async(f"t{i % 3}", generate_ops(rng, catalog))[1]
+            for i in range(WAVE)
+        ]
+        statuses += [p.wait(60)["status"] for p in pending]
+    return statuses
+
+
+@functools.cache
+def _cell(protocol: str, seed: int, ablated: bool):
+    """One multi-batch service run, judged online (sealed) and exactly."""
+    svc = TransactionService(
+        ServiceConfig(protocol=protocol, seed=seed, batch_max=WAVE)
+    )
+    ablation = (
+        Ablation(object_name=svc.spec.leaf_objects[0].name) if ablated else None
+    )
+    svc._certifier = _certifier(
+        svc, ablation, _Recorder, metrics=svc.db.metrics
+    )
+    with svc:
+        _waves(svc, random.Random(repr((seed, "retire"))), waves=4)
+    exact = check_history(
+        svc.history_result(),
+        ablation,
+        strict_cross_object=strictness_for(protocol),
+    )
+    return svc, ablation, exact
+
+
+MATRIX = [
+    (protocol, seed, ablated)
+    for protocol in FUZZ_PROTOCOLS
+    for seed in CATALOGS
+    for ablated in (False, True)
+]
+
+
+def _violating_cells() -> list:
+    return [cell for cell in MATRIX if _cell(*cell)[2].violation]
+
+
+class TestRetireRule:
+    @pytest.mark.parametrize("protocol,seed,ablated", MATRIX)
+    def test_sealed_verdict_is_the_exact_oracles(self, protocol, seed, ablated):
+        svc, _, exact = _cell(protocol, seed, ablated)
+        report = svc.certification()
+        assert report.epochs >= 1
+        assert report.oo_serializable == exact.oo_serializable
+
+    def test_the_matrix_holds_real_violations(self):
+        # Without them, sealed ≡ exact would be "ok == ok" forty times.
+        assert _violating_cells()
+
+    @pytest.mark.parametrize("protocol,seed,ablated", MATRIX)
+    def test_sealed_equals_never_sealed_at_every_prefix(
+        self, protocol, seed, ablated
+    ):
+        svc, ablation, _ = _cell(protocol, seed, ablated)
+        sealed = svc._certifier
+        unsealed = _certifier(svc, ablation)
+        verdicts = [unsealed.observe_commit(txn) for txn in sealed.fed]
+        assert verdicts == sealed.verdicts
+        assert unsealed.epochs <= 1
+
+    def test_premature_seal_is_refused(self):
+        # One batch's trees overlap: a seal between two of them promises
+        # an order the stamps contradict.
+        svc, ablation, _ = _cell("open-nested-oo", CATALOGS[0], False)
+        batch = svc._certifier.fed[:WAVE]
+        hasty = _certifier(svc, ablation)
+        with pytest.raises(ScheduleError, match="premature"):
+            for txn in batch:
+                hasty.observe_commit(txn)
+                hasty.seal()
+        # Refused, not judged: no verdict moved.
+        assert hasty.oo_serializable
+
+    def test_unrefused_premature_seal_would_have_been_wrong(self):
+        # The self-test of the differential above: retire trees too early
+        # (and silence the check) and the exact oracle must catch it.
+        cells = [cell for cell in _violating_cells() if cell[2]]
+        assert cells
+        missed = []
+        for cell in cells:
+            svc, ablation, exact = _cell(*cell)
+            leaky = _certifier(svc, ablation, _Leaky)
+            for txn in svc._certifier.fed:
+                leaky.observe_commit(txn)
+            if leaky.oo_serializable != exact.oo_serializable:
+                missed.append(cell)
+        assert missed
+
+    def test_violation_outlives_the_epoch_that_found_it(self):
+        def found_before_the_last_batch(cell) -> bool:
+            certifier = _cell(*cell)[0]._certifier
+            return certifier.verdicts.index(False) < len(certifier.fed) - WAVE
+
+        cell = next(filter(found_before_the_last_batch, _violating_cells()))
+        svc = _cell(*cell)[0]
+        certifier = svc._certifier
+        assert not any(certifier.verdicts[-WAVE:])
+        held = certifier.live_transactions
+        certifier.seal()  # a no-op on a violated certifier
+        assert certifier.live_transactions == held > 0
+        assert svc.certification().violation
+
+    def test_optimistic_validation_across_epochs(self):
+        # The protocol's own validator hangs virtual duplicates on earlier
+        # (by then sealed-away) trees.
+        for seed in CATALOGS:
+            svc, _, exact = _cell("optimistic-oo", seed, False)
+            report = svc.certification()
+            assert report.epochs >= 3
+            assert report.escalated_epochs >= 1
+            assert report.oo_serializable == exact.oo_serializable
+
+    def test_failed_batch_is_sealed_and_the_next_one_certifies(self):
+        svc = TransactionService(
+            ServiceConfig(protocol="page-2pl", seed=3, batch_max=4)
+        )
+        with svc:
+            short = _ops(svc)
+            hog = _ops(svc, key=1) + [["work", 400]]
+            svc.executor.max_ticks = 120
+            pending = [
+                svc.submit_async("t", ops)[1] for ops in (short, short, short, hog)
+            ]
+            statuses = [p.wait(60)["status"] for p in pending]
+            assert statuses.count("committed") >= 1
+            assert "error" in statuses
+            svc.executor.max_ticks = MAX_TICKS
+            pending = [svc.submit_async("t", short)[1] for _ in range(4)]
+            assert [p.wait(60)["status"] for p in pending] == ["committed"] * 4
+        report = svc.certification()
+        assert report.committed == statuses.count("committed") + 4
+        assert report.epochs == 2
+        assert svc._certifier.live_transactions == 0
+        assert report.ok and not svc.certify(exact=True).violation
+
+
+BATCHES = 125
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    """125 full batches (1 000 requests); in_conflict calls at every seal."""
+    svc = TransactionService(
+        ServiceConfig(protocol="open-nested-oo", seed=7, batch_max=WAVE)
+    )
+    certifier = svc._certifier
+    registry = certifier.commutativity
+    calls = [0]
+    #: (in_conflict calls, commits observed) as of each seal
+    marks = [(0, 0)]
+    in_conflict, seal = registry.in_conflict, certifier.seal
+
+    def counted(a, b):
+        calls[0] += 1
+        return in_conflict(a, b)
+
+    def marked():
+        seal()
+        marks.append((calls[0], certifier.committed))
+
+    registry.in_conflict = counted
+    certifier.seal = marked
+    with svc:
+        _waves(svc, random.Random("flat"), waves=BATCHES)
+    return svc, marks
+
+
+class TestBoundedAudit:
+    def test_work_per_commit_is_flat_in_history(self, long_run):
+        _, marks = long_run
+        assert len(marks) > BATCHES
+
+        def calls_per_commit(first, last):
+            (calls0, commits0), (calls1, commits1) = marks[first], marks[last]
+            return (calls1 - calls0) / (commits1 - commits0)
+
+        early = calls_per_commit(0, 25)
+        late = calls_per_commit(100, 125)
+        assert early > 0
+        assert late <= 1.1 * early
+
+    def test_nothing_is_held_between_batches(self, long_run):
+        svc, _ = long_run
+        certifier = svc._certifier
+        assert certifier._engine is None
+        assert certifier._log == []
+        assert certifier._timelines == {}
+        assert certifier.system.tops == []
+        assert not any(is_virtual(oid) for oid in certifier.system.objects)
+        assert certifier.live_transactions == 0
+        metrics = svc.db.metrics
+        assert metrics.get("certify_live_transactions").value == 0
+        report = svc.certification()
+        assert report.escalated  # epochs escalated, and were left behind
+        assert metrics.get("certify_epochs_total").value == report.epochs
+        assert report.fast_commits + report.escalated_commits == report.committed
+        assert report.ok
+
+    def test_asking_for_the_audit_state_copies_no_history(self, monkeypatch):
+        # certification()/certify() hold the certifier's lock, which the
+        # engine thread needs to certify the next batch: no list of every
+        # outcome since start may be built there.
+        svc = TransactionService(ServiceConfig(protocol="page-2pl", seed=3))
+        with svc:
+            for _ in range(250):
+                pending = [
+                    svc.submit_async(
+                        f"t{i % 3}",
+                        [["work", 1]],
+                        deadline_ticks=0 if i == 0 else None,
+                    )[1]
+                    for i in range(WAVE)
+                ]
+                for p in pending:
+                    p.wait(60)
+        assert len(svc._outcomes) == 2000
+        expected = len(svc.history_result().gave_up)
+        assert expected > 0
+
+        def refuse():
+            raise AssertionError("history_result() on the audit-state path")
+
+        monkeypatch.setattr(svc, "history_result", refuse)
+        assert svc.certification().gave_up == expected
+        assert svc.certify().gave_up == expected
 
 
 class TestWeightedQuota:

@@ -266,6 +266,7 @@ def test_certify_clean_cell_with_diff_exits_0():
     )
     assert code == 0
     assert "certify seed 3 under page-2pl: ok" in output
+    assert "1 epoch / " in output  # one fuzz run is one certifier epoch
     assert "diff: certifier verdict and witness match the exact oracle" in output
 
 
