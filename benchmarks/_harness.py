@@ -46,7 +46,7 @@ def write_trajectory(entry: dict) -> dict:
     """Append/replace one labelled entry in ``BENCH_perf.json``.
 
     The artifact is a per-PR performance trajectory: every perf-oriented
-    bench (C10's hot paths, C11's analysis engines) contributes an entry
+    bench (C10's hot paths, C11's cached validation) contributes an entry
     keyed by its ``label`` so regressions show up as numbers, not
     anecdotes.
     """

@@ -1,23 +1,13 @@
-"""Experiment C11 — incremental vs batch dependency analysis.
+"""Experiment C11 — cached-engine validation vs prefix re-analysis.
 
-Three measurements, appended to the ``BENCH_perf.json`` trajectory as the
-``pr4`` entry:
-
-1. **One-shot analysis throughput** on a ~200-action, deeply layered
-   history (the shape that stresses the Definition 10/11 fixpoint: every
-   bootstrap edge at the leaves is lifted level by level to the roots).
-   The batch engine rescans every edge of every relation per round, paying
-   O(rounds × edges) rule evaluations; the worklist engine pays O(edges).
-   Both produce byte-identical schedules — asserted here on top of the
-   differential test suite — so the speedup is free.
-2. **Certifier validation throughput**: validating k commits the batch way
-   (a from-scratch analysis of each committed prefix, the optimistic
-   certifier's old inner loop) against the incremental way (one cached
-   engine, each commit appended as a delta).
-3. **Campaign throughput** with ``REPRO_ANALYSIS=batch`` vs
-   ``incremental``: the end-to-end fuzz loop, with the two campaign
-   reports asserted identical — the engine flip must change the clock and
-   nothing else.
+One measurement, appended to the ``BENCH_perf.json`` trajectory under the
+``c11-cached-validation`` label: validating k commits the from-scratch way
+(a one-shot :func:`~repro.core.serializability.analyze_system` of each
+committed prefix, the optimistic certifier's old inner loop) against the
+cached way (one :class:`~repro.core.dependency.IncrementalDependencyEngine`,
+each commit appended as a delta).  The ``pr4`` trajectory entry has a
+different shape: it also timed the batch fixpoint, which now lives only in
+the test suite as the differential reference.
 """
 
 from __future__ import annotations
@@ -34,24 +24,14 @@ from _harness import emit, write_trajectory
 
 from repro.analysis import render_table
 from repro.core.commutativity import CommutativityRegistry
-from repro.core.dependency import DependencyAnalysis, IncrementalDependencyEngine
+from repro.core.dependency import IncrementalDependencyEngine
 from repro.core.serializability import analyze_system
 from repro.core.transactions import TransactionSystem
-from repro.fuzz.driver import run_campaign
-from repro.fuzz.generator import GeneratorProfile
 from repro.oodb.trace import committed_projection
 
-#: one-shot shape: 6 transactions × 33-deep call chains ≈ 200 actions, all
-#: conflicting (ConflictAll), interleaved round-robin — the fixpoint lifts
-#: the leaf bootstrap edges through 33 levels, one batch round per level
-ONE_SHOT_TXNS = 6
-ONE_SHOT_DEPTH = 33
-
-#: certifier shape: wider and shallower, like fuzz workloads
+#: certifier shape: wide and shallow, like fuzz workloads
 CERT_TXNS = 12
 CERT_DEPTH = 8
-
-CAMPAIGN_SEEDS = list(range(1, 9))
 
 
 def build_layered_history(n_txns: int, depth: int) -> TransactionSystem:
@@ -81,81 +61,14 @@ def _timeit(fn, *, budget_s: float = 2.0) -> float:
     return (time.perf_counter() - start) / calls
 
 
-# ---------------------------------------------------------------------------
-# 1. one-shot analysis throughput
-# ---------------------------------------------------------------------------
-
-
-def _edge_lists(schedules):
-    return {
-        oid: [
-            [(s.label, d.label) for s, d in getattr(sched, rel).iter_edges()]
-            for rel in ("action_dep", "txn_dep", "added_dep")
-        ]
-        for oid, sched in schedules.items()
-    }
-
-
-def _one_shot_section() -> dict:
-    system = build_layered_history(ONE_SHOT_TXNS, ONE_SHOT_DEPTH)
-    registry = CommutativityRegistry()  # ConflictAll: everything lifts
-    actions = sum(1 for _ in system.all_actions())
-
-    # Identity first (the differential suite pins this on fuzz histories;
-    # assert it on the bench shape too, so the speedup below compares the
-    # same computation).
-    outputs = {
-        engine: analyze_system(system, registry, engine=engine)
-        for engine in ("batch", "incremental")
-    }
-    assert (
-        outputs["batch"][0].describe() == outputs["incremental"][0].describe()
-    )
-    assert _edge_lists(outputs["batch"][1]) == _edge_lists(
-        outputs["incremental"][1]
-    )
-
-    full = {
-        engine: _timeit(lambda e=engine: analyze_system(system, registry, engine=e))
-        for engine in ("batch", "incremental")
-    }
-    core = {
-        engine: _timeit(
-            lambda e=engine: DependencyAnalysis(
-                system, registry, engine=e
-            ).schedules()
-        )
-        for engine in ("batch", "incremental")
-    }
-    return {
-        "actions": actions,
-        "transactions": ONE_SHOT_TXNS,
-        "depth": ONE_SHOT_DEPTH,
-        "batch_ms": round(full["batch"] * 1000, 2),
-        "incremental_ms": round(full["incremental"] * 1000, 2),
-        "batch_analyses_per_s": round(1 / full["batch"], 2),
-        "incremental_analyses_per_s": round(1 / full["incremental"], 2),
-        "speedup": round(full["batch"] / full["incremental"], 2),
-        "core_batch_ms": round(core["batch"] * 1000, 2),
-        "core_incremental_ms": round(core["incremental"] * 1000, 2),
-        "core_speedup": round(core["batch"] / core["incremental"], 2),
-        "schedules_identical": True,
-    }
-
-
-# ---------------------------------------------------------------------------
-# 2. certifier validation throughput
-# ---------------------------------------------------------------------------
-
-
-def _validate_batch(system, registry, labels) -> None:
+def _validate_from_scratch(system, registry, labels) -> None:
     """The certifier's old inner loop: every commit re-analyzes its whole
     committed prefix from empty."""
     committed: set[str] = set()
     for label in labels:
         committed.add(label)
         verdict, _ = analyze_system(
-            committed_projection(system, committed), registry, engine="batch"
+            committed_projection(system, committed), registry
         )
         assert verdict.oo_serializable
 
@@ -172,110 +85,53 @@ def _validate_incremental(system, registry, tops) -> None:
 
 def _certifier_section() -> dict:
     system = build_layered_history(CERT_TXNS, CERT_DEPTH)
-    registry = CommutativityRegistry()
+    registry = CommutativityRegistry()  # ConflictAll: everything lifts
     labels = [txn.label for txn in system.tops]
     tops = list(system.tops)
 
-    batch_s = _timeit(lambda: _validate_batch(system, registry, labels))
+    scratch_s = _timeit(
+        lambda: _validate_from_scratch(system, registry, labels)
+    )
     incremental_s = _timeit(
         lambda: _validate_incremental(system, registry, tops)
     )
     return {
         "commits": len(labels),
         "actions": sum(1 for _ in system.all_actions()),
-        "batch_ms": round(batch_s * 1000, 2),
+        "from_scratch_ms": round(scratch_s * 1000, 2),
         "incremental_ms": round(incremental_s * 1000, 2),
-        "batch_validations_per_s": round(len(labels) / batch_s, 1),
+        "from_scratch_validations_per_s": round(len(labels) / scratch_s, 1),
         "incremental_validations_per_s": round(len(labels) / incremental_s, 1),
-        "speedup": round(batch_s / incremental_s, 2),
+        "speedup": round(scratch_s / incremental_s, 2),
     }
-
-
-# ---------------------------------------------------------------------------
-# 3. campaign throughput per engine
-# ---------------------------------------------------------------------------
-
-
-def _campaign_section() -> dict:
-    profile = GeneratorProfile.smoke()
-    timings = {}
-    tables = {}
-    for engine in ("batch", "incremental"):
-        os.environ["REPRO_ANALYSIS"] = engine
-        try:
-            start = time.perf_counter()
-            campaign = run_campaign(seeds=CAMPAIGN_SEEDS, profile=profile, jobs=1)
-            timings[engine] = time.perf_counter() - start
-        finally:
-            del os.environ["REPRO_ANALYSIS"]
-        assert campaign.ok
-        tables[engine] = campaign.table()
-    runs = len(CAMPAIGN_SEEDS) * 5  # five protocols per seed
-    # The engine flip must not change a byte of the campaign report.
-    assert tables["batch"] == tables["incremental"]
-    return {
-        "seeds": len(CAMPAIGN_SEEDS),
-        "runs": runs,
-        "batch_s": round(timings["batch"], 4),
-        "incremental_s": round(timings["incremental"], 4),
-        "batch_runs_per_s": round(runs / timings["batch"], 2),
-        "incremental_runs_per_s": round(runs / timings["incremental"], 2),
-        "speedup": round(timings["batch"] / timings["incremental"], 3),
-        "report_identical": True,
-    }
-
-
-# ---------------------------------------------------------------------------
-# the trajectory entry
-# ---------------------------------------------------------------------------
 
 
 def run_analysis_bench() -> dict:
     return {
-        "label": os.environ.get("BENCH_ANALYSIS_LABEL", "pr4"),
+        "label": os.environ.get(
+            "BENCH_ANALYSIS_LABEL", "c11-cached-validation"
+        ),
         "cpus": multiprocessing.cpu_count(),
         "python": platform.python_version(),
-        "analysis_one_shot": _one_shot_section(),
         "certifier_validation": _certifier_section(),
-        "campaign_engines": _campaign_section(),
     }
 
 
 def _render(entry: dict) -> str:
-    one_shot = entry["analysis_one_shot"]
     cert = entry["certifier_validation"]
-    campaign = entry["campaign_engines"]
     rows = [
         [
-            f"one-shot analysis ({one_shot['actions']} actions, "
-            f"depth {one_shot['depth']})",
-            f"{one_shot['batch_ms']}ms batch",
-            f"{one_shot['incremental_ms']}ms incremental",
-            f"x{one_shot['speedup']}",
-        ],
-        [
-            "  dependency core only",
-            f"{one_shot['core_batch_ms']}ms batch",
-            f"{one_shot['core_incremental_ms']}ms incremental",
-            f"x{one_shot['core_speedup']}",
-        ],
-        [
-            f"certifier: validate {cert['commits']} commits",
-            f"{cert['batch_ms']}ms re-analyze",
+            f"certifier: validate {cert['commits']} commits "
+            f"({cert['actions']} actions)",
+            f"{cert['from_scratch_ms']}ms re-analyze",
             f"{cert['incremental_ms']}ms cached engine",
             f"x{cert['speedup']}",
         ],
-        [
-            f"campaign ({campaign['runs']} runs)",
-            f"{campaign['batch_runs_per_s']}/s batch",
-            f"{campaign['incremental_runs_per_s']}/s incremental",
-            f"x{campaign['speedup']}",
-        ],
     ]
     return render_table(
-        ["workload", "batch", "incremental", "speedup"],
+        ["workload", "from scratch", "cached", "speedup"],
         rows,
-        title=f"C11 — incremental dependency analysis, "
+        title=f"C11 — cached-engine validation, "
         f"label={entry['label']} (cpus={entry['cpus']})",
     )
 
@@ -285,15 +141,8 @@ def test_analysis_trajectory(benchmark):
     write_trajectory(entry)
     emit("analysis_incremental", _render(entry))
 
-    one_shot = entry["analysis_one_shot"]
-    assert one_shot["schedules_identical"]
-    assert one_shot["speedup"] >= 5.0, (
-        "incremental analysis should be >=5x batch on the layered "
-        f"200-action history, got x{one_shot['speedup']}"
-    )
     cert = entry["certifier_validation"]
     assert cert["speedup"] >= 3.0, (
         "cached-engine validation should be >=3x prefix re-analysis, "
         f"got x{cert['speedup']}"
     )
-    assert entry["campaign_engines"]["report_identical"]

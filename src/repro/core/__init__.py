@@ -29,7 +29,6 @@ from repro.core.commutativity import (
     PredicateCommutativity,
     ReadWriteCommutativity,
 )
-from repro.core.dependency import DependencyAnalysis
 from repro.core.extension import ExtensionResult, extend_system
 from repro.core.graph import DirectedGraph
 from repro.core.identifiers import SYSTEM_OBJECT, is_virtual, virtual_object_id
@@ -48,7 +47,6 @@ __all__ = [
     "CommutativityRegistry",
     "CommutativitySpec",
     "ConflictAll",
-    "DependencyAnalysis",
     "DirectedGraph",
     "EscrowCommutativity",
     "ExtensionResult",

@@ -94,6 +94,10 @@ ESCALATE_NONMONOTONE = "nonmonotone-seq"
 ESCALATE_WINDOW = "straggler-window"
 ESCALATE_CONFLICT = "conflicting-straggler"
 
+#: longest already-certified suffix of one object timeline the fast path
+#: scans for conflicts before escalating instead
+STRAGGLER_SCAN_LIMIT = 64
+
 
 @dataclass
 class CertificationReport:
@@ -207,9 +211,6 @@ class OnlineCertifier:
         offline :func:`certify_history` path); per-commit passes are
         skipped and virtual duplicates are expected to sit inside the
         trees they were attached to.
-    straggler_scan_limit:
-        Longest already-certified suffix of one object timeline the fast
-        path will scan for conflicts before escalating instead.
     metrics:
         Optional :class:`repro.obs.metrics.MetricsRegistry`; certification
         counters are registered on it.
@@ -222,14 +223,12 @@ class OnlineCertifier:
         *,
         strict_cross_object: bool = True,
         pre_extended: bool = False,
-        straggler_scan_limit: int = 64,
         metrics=None,
     ):
         self.system = system
         self.commutativity = commutativity
         self.strict_cross_object = strict_cross_object
         self.pre_extended = pre_extended
-        self.straggler_scan_limit = straggler_scan_limit
         self.committed = 0
         self.actions = 0
         self.fast_commits = 0
@@ -287,7 +286,7 @@ class OnlineCertifier:
         Returns True while the history so far is certified
         oo-serializable; the first False is final (violations are monotone
         — later commits cannot undo a closed cycle), matching
-        ``run_per_transaction(stop_on_violation=True)``.
+        ``run_per_transaction``, which stops at the first violation.
         """
         if self.violated:
             return False
@@ -462,7 +461,6 @@ class OnlineCertifier:
             groups.setdefault(obj, []).append(action)
 
         in_conflict = self.commutativity.in_conflict
-        limit = self.straggler_scan_limit
         for obj, group in groups.items():
             group.sort(key=lambda a: (a.seq, a.aid))
             timeline = self._timelines.get(obj)
@@ -481,7 +479,7 @@ class OnlineCertifier:
                 # with a conflicting action is order-ambiguous → exact).
                 idx = bisect_left(seqs, action.seq)
                 window = certified[idx:]
-                if len(window) > limit:
+                if len(window) > STRAGGLER_SCAN_LIMIT:
                     return ESCALATE_WINDOW
                 self.stragglers_scanned += len(window)
                 if self._m_stragglers is not None:
@@ -577,7 +575,6 @@ def certify_history(
     ablation: "Ablation | None" = None,
     *,
     strict_cross_object: bool = True,
-    straggler_scan_limit: int = 64,
     with_oracle: bool = True,
 ) -> CertificationReport:
     """Certify one run's committed history, cheaply when possible.
@@ -602,7 +599,6 @@ def certify_history(
         registry,
         strict_cross_object=strict_cross_object,
         pre_extended=True,
-        straggler_scan_limit=straggler_scan_limit,
     )
     if extension.duplicates:
         certifier.escalate(ESCALATE_EXTENSION)

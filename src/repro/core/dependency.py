@@ -39,27 +39,25 @@ the paper's information-flow story ("divide et impera", Section 1):
    constraint.  ``propagate_cross_object=False`` restores the literal
    Definition 15/16 reading (used by ablation benches).
 
-Two engines compute the same fixpoint:
+One engine computes the fixpoint, :class:`IncrementalDependencyEngine`.
+It is worklist-driven: each edge is processed exactly once, when it is
+first derived, and appended transactions (``append_transaction``) only pay
+for their own deltas.  With ``track_cycles=True`` every relation is watched
+by an online topological order (:class:`repro.core.graph.OnlineTopology`),
+so the first contradiction is reported at the insertion that closes it.
 
-- the legacy **batch** fixpoint rescans every edge of every relation per
-  round until nothing changes — simple, but quadratic in rounds × edges;
-- the **incremental** :class:`IncrementalDependencyEngine` (the default)
-  is worklist-driven: each edge is processed exactly once, when it is first
-  derived, and appended transactions (``append_transaction``) only pay for
-  their own deltas.  With ``track_cycles=True`` every relation is watched
-  by an online topological order (:class:`repro.core.graph.OnlineTopology`),
-  so the first contradiction is reported at the insertion that closes it.
-
-For one-shot analyses the worklist is drained in *stratified* rounds that
-replay the batch engine's derivation order edge for edge, which makes the
-two engines byte-identical — verdicts, edge sets, first-reason-wins
-provenance and cycle witnesses (pinned by the differential test suite).
-``REPRO_ANALYSIS=batch|incremental`` selects the engine globally.
+Edge order is part of the output: cycle witnesses, ``describe`` tables and
+the pinned campaign reports all read relations in insertion order.  For
+one-shot analyses the worklist is therefore drained in *stratified* rounds
+(``_drain``) and Definition 15 is recorded in one pass over the finished
+relations (``_finalize_added``), which fixes the order to that of the
+naive rescanning fixpoint.  The test suite keeps that rescanning fixpoint
+as a reference and checks the engine against it edge for edge —
+verdicts, ordered edges, first-reason-wins provenance and cycle witnesses.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable
 
 from repro.core.actions import ActionNode
@@ -70,20 +68,6 @@ from repro.core.identifiers import SYSTEM_OBJECT, ObjectId
 from repro.core.schedule import ObjectSchedule, program_precedes
 from repro.core.transactions import OOTransaction, TransactionSystem
 from repro.errors import ReproError
-
-#: environment variable selecting the analysis engine for all consumers
-ANALYSIS_ENGINE_ENV = "REPRO_ANALYSIS"
-
-
-def analysis_engine() -> str:
-    """The configured analysis engine: ``incremental`` (default) or ``batch``."""
-    value = os.environ.get(ANALYSIS_ENGINE_ENV, "incremental").strip().lower()
-    if value not in ("batch", "incremental"):
-        raise ReproError(
-            f"unknown {ANALYSIS_ENGINE_ENV} value {value!r}: "
-            f"expected 'batch' or 'incremental'"
-        )
-    return value
 
 
 def linearize_effects(
@@ -149,278 +133,6 @@ def linearize_effects(
         action.seq = value
 
 
-class DependencyAnalysis:
-    """Computes every object schedule of a transaction system.
-
-    Parameters
-    ----------
-    system:
-        The executed transaction system.  Unless ``extend=False``, the
-        Definition 5 extension is applied first (mutating the system) so
-        that no action has a call ancestor on its own object.
-    commutativity:
-        The registry of per-object commutativity specifications.
-    extend:
-        Disable the extension only to demonstrate why it is needed (the
-        ablation bench A2); verdicts on unextended systems with call cycles
-        are not trustworthy.
-    linearize:
-        Apply :func:`linearize_effects` first (default), re-stamping each
-        method action at its first own-object effect so that Axiom 1
-        bootstraps from execution order rather than dispatch order.
-    engine:
-        ``"batch"`` or ``"incremental"``; default from ``REPRO_ANALYSIS``
-        (incremental).  Both produce byte-identical schedules.
-    """
-
-    def __init__(
-        self,
-        system: TransactionSystem,
-        commutativity: CommutativityRegistry,
-        *,
-        extend: bool = True,
-        propagate_cross_object: bool = True,
-        linearize: bool = True,
-        engine: str | None = None,
-    ):
-        self.system = system
-        self.commutativity = commutativity
-        self.engine = engine if engine is not None else analysis_engine()
-        if linearize:
-            linearize_effects(system)
-        self.extension = extend_system(system) if extend else None
-        self.propagate_cross_object = propagate_cross_object
-        #: top-level ordering constraints discovered by the cross-object
-        #: closure (pairs of root actions)
-        self.top_cross_deps: set[tuple[ActionNode, ActionNode]] = set()
-        self._schedules: dict[ObjectId, ObjectSchedule] | None = None
-
-    # -- public API ----------------------------------------------------------
-
-    def schedules(self) -> dict[ObjectId, ObjectSchedule]:
-        """Compute (once) and return all object schedules, keyed by object."""
-        if self._schedules is None:
-            if self.engine == "batch":
-                self._schedules = self._compute()
-            else:
-                core = IncrementalDependencyEngine(
-                    self.system,
-                    self.commutativity,
-                    propagate_cross_object=self.propagate_cross_object,
-                    linearize=False,  # the constructor already ran it
-                    extend=False,  # likewise
-                )
-                core.top_cross_deps = self.top_cross_deps
-                core.run()
-                self._schedules = core.schedules
-        return self._schedules
-
-    def schedule(self, oid: ObjectId) -> ObjectSchedule:
-        return self.schedules()[oid]
-
-    # -- computation -----------------------------------------------------------
-
-    def _conflict(self, a: ActionNode, b: ActionNode) -> bool:
-        """Definition 9 conflict test, never raising for same-object pairs."""
-        return self.commutativity.in_conflict(a, b)
-
-    def _compute(self) -> dict[ObjectId, ObjectSchedule]:
-        system = self.system
-        objects = sorted(system.objects - {SYSTEM_OBJECT})
-        schedules: dict[ObjectId, ObjectSchedule] = {}
-
-        for oid in objects:
-            sched = ObjectSchedule(system=system, oid=oid)
-            sched.actions = system.actions_on(oid)
-            sched.transactions = system.transactions_on(oid)
-            for action in sched.actions:
-                sched.action_dep.add_node(action)
-            for caller in sched.transactions:
-                sched.txn_dep.add_node(caller)
-            self._bootstrap(sched)
-            self._program_precedence(sched)
-            schedules[oid] = sched
-
-        self._fixpoint(schedules)
-        self._added_dependencies(schedules)
-        return schedules
-
-    def _program_precedence(self, sched: ObjectSchedule) -> None:
-        """Definition 7: the object precedence relation is part of ``<·``.
-
-        The action dependency relation "must include the given precedences";
-        in a conform schedule these edges agree with the execution order, in
-        a non-conform one they surface as extra (possibly contradictory)
-        dependencies.
-        """
-        actions = sched.actions
-        for i, first in enumerate(actions):
-            for second in actions[i + 1 :]:
-                if program_precedes(first, second):
-                    sched.action_dep.add_edge(first, second)
-                    sched.record_reason(
-                        "action", first, second, "Definition 7: program precedence"
-                    )
-                elif program_precedes(second, first):
-                    sched.action_dep.add_edge(second, first)
-                    sched.record_reason(
-                        "action", second, first, "Definition 7: program precedence"
-                    )
-
-    def _bootstrap(self, sched: ObjectSchedule) -> None:
-        """Axiom 1: order conflicting pairs with a primitive member by seq."""
-        actions = sched.actions
-        for i, first in enumerate(actions):
-            for second in actions[i + 1 :]:
-                if not (first.is_primitive or second.is_primitive):
-                    continue
-                if self._conflict(first, second):
-                    # ``actions`` is sorted by seq: first executed first.
-                    sched.action_dep.add_edge(first, second)
-                    sched.record_reason(
-                        "action",
-                        first,
-                        second,
-                        "Axiom 1: executed {} < {}",
-                        first.seq,
-                        second.seq,
-                    )
-
-    def _fixpoint(self, schedules: dict[ObjectId, ObjectSchedule]) -> None:
-        """Alternate Definitions 10, 11 and the cross-object closure until
-        nothing new is derivable (the relations are finite and only grow)."""
-        cross_seen: set[tuple[int, int]] = set()
-        changed = True
-        while changed:
-            changed = False
-            # Definition 10: lift conflicting action dependencies to callers.
-            # (Lazy iteration is safe: the loop only adds txn edges.)
-            for sched in schedules.values():
-                for src, dst in sched.action_dep.iter_edges():
-                    if not self._conflict(src, dst):
-                        continue
-                    caller_src, caller_dst = src.parent, dst.parent
-                    if caller_src is None or caller_dst is None:
-                        continue
-                    if caller_src is caller_dst:
-                        continue
-                    if not sched.txn_dep.has_edge(caller_src, caller_dst):
-                        sched.txn_dep.add_edge(caller_src, caller_dst)
-                        sched.record_reason(
-                            "txn",
-                            caller_src,
-                            caller_dst,
-                            "Definition 10: conflicting actions {} <· {}",
-                            src,
-                            dst,
-                        )
-                        changed = True
-            # Definition 11: transaction dependencies whose endpoints are
-            # actions on one object flow into that object's action deps;
-            # cross-object pairs enter the closure work set.  (Lazy again:
-            # only action relations are mutated while txn edges are read.)
-            for sched in schedules.values():
-                for src, dst in sched.txn_dep.iter_edges():
-                    if src.obj != dst.obj:
-                        if self.propagate_cross_object:
-                            if self._push_cross(src, dst, schedules, cross_seen):
-                                changed = True
-                        continue
-                    target = schedules.get(src.obj)
-                    if target is None:
-                        continue
-                    if not target.action_dep.has_edge(src, dst):
-                        target.action_dep.add_edge(src, dst)
-                        target.record_reason(
-                            "action",
-                            src,
-                            dst,
-                            "Definition 11: inherited from {}",
-                            sched.oid,
-                        )
-                        changed = True
-
-    def _push_cross(
-        self,
-        src: ActionNode,
-        dst: ActionNode,
-        schedules: dict[ObjectId, ObjectSchedule],
-        seen: set[tuple[int, int]],
-    ) -> bool:
-        """Lift one cross-object dependency toward a common object.
-
-        A pair of actions on different objects cannot be shown to commute
-        (commutativity is per object), so the ordering constraint between
-        them is inherited by their callers: the deeper endpoint is replaced
-        by its caller until both endpoints are actions on one object (then
-        the constraint joins that object's ``<·`` and the usual machinery —
-        including commutativity — takes over) or both are top-level roots
-        (then it is a top-level ordering constraint).
-        """
-        changed = False
-        pair: tuple[ActionNode, ActionNode] | None = (src, dst)
-        while pair is not None:
-            left, right = pair
-            key = (id(left), id(right))
-            if key in seen:
-                return changed
-            seen.add(key)
-            if left.parent is None and right.parent is None:
-                if (left, right) not in self.top_cross_deps:
-                    self.top_cross_deps.add((left, right))
-                    changed = True
-                return changed
-            if left.obj == right.obj:
-                target = schedules.get(left.obj)
-                if target is not None and left in target.action_dep \
-                        and right in target.action_dep:
-                    if not target.action_dep.has_edge(left, right):
-                        target.action_dep.add_edge(left, right)
-                        target.record_reason(
-                            "action",
-                            left,
-                            right,
-                            "cross-object closure (from {} -> {})",
-                            src,
-                            dst,
-                        )
-                        changed = True
-                    return changed
-            # Lift the deeper side; on equal depth lift both.
-            if left.depth > right.depth and left.parent is not None:
-                pair = (left.parent, right)
-            elif right.depth > left.depth and right.parent is not None:
-                pair = (left, right.parent)
-            else:
-                next_left = left.parent if left.parent is not None else left
-                next_right = right.parent if right.parent is not None else right
-                if next_left is left and next_right is right:
-                    return changed
-                pair = (next_left, next_right)
-            if pair[0] is pair[1]:
-                return changed  # same caller: intra-unit, no constraint
-        return changed
-
-    def _added_dependencies(self, schedules: dict[ObjectId, ObjectSchedule]) -> None:
-        """Definition 15: record cross-object transaction dependencies at
-        both endpoint objects, redundantly."""
-        for sched in schedules.values():
-            for src, dst in sched.txn_dep.iter_edges():
-                if src.obj == dst.obj:
-                    continue
-                for endpoint_obj in (src.obj, dst.obj):
-                    target = schedules.get(endpoint_obj)
-                    if target is not None:
-                        target.added_dep.add_edge(src, dst)
-                        target.record_reason(
-                            "added",
-                            src,
-                            dst,
-                            "Definition 15: recorded from {}",
-                            sched.oid,
-                        )
-
-
 class IncrementalDependencyEngine:
     """Worklist-driven evaluation of the Definition 10/11/15 fixpoint.
 
@@ -430,11 +142,10 @@ class IncrementalDependencyEngine:
     stratified rounds — a Definition 10 phase over new action dependencies
     followed by a Definition 11/closure phase over new transaction
     dependencies, schedules in sorted object order, edges in relation
-    order — which replays the batch fixpoint's derivation order exactly
-    (the batch engine rescans *all* edges per round but only the new ones
-    derive anything).  One-shot analyses are therefore byte-identical to
-    the batch engine while doing O(edges) instead of O(rounds × edges)
-    rule evaluations.
+    order.  That is the derivation order of a naive fixpoint that rescans
+    every edge per round (only the new ones derive anything), so one-shot
+    analyses get its edge order while doing O(edges) instead of
+    O(rounds × edges) rule evaluations.
 
     The engine is also *appendable*: :meth:`append_transaction` integrates
     one more executed transaction into an existing analysis — re-stamping
@@ -449,9 +160,9 @@ class IncrementalDependencyEngine:
     top-level graph), Definition 15 recording happens eagerly, and
     :attr:`violated` flips at the exact insertion that closes the first
     cycle — the boolean consumers (certifier, fuzz oracle fast path) stop
-    there.  Without it, added dependencies are recorded in a batch-shaped
-    finalize pass so the resulting schedules match the batch engine
-    byte for byte.
+    there.  Without it, added dependencies are recorded in one pass over
+    the finished relations (:meth:`_finalize_added`), which keeps their
+    insertion order, and with it combined-graph cycle witnesses, stable.
     """
 
     def __init__(
@@ -512,7 +223,7 @@ class IncrementalDependencyEngine:
         return not self.violated
 
     def run(self) -> dict[ObjectId, ObjectSchedule]:
-        """One-shot: integrate every transaction, batch-order, and drain."""
+        """One-shot: integrate every transaction, object by object, and drain."""
         if self.linearize:
             linearize_effects(self.system)
         if self.extend:
@@ -536,17 +247,16 @@ class IncrementalDependencyEngine:
             self._finalize_added()
         return self.schedules
 
-    def run_per_transaction(self, *, stop_on_violation: bool = True) -> bool:
+    def run_per_transaction(self) -> bool:
         """Integrate the system's transactions one by one, oldest first.
 
         Re-stamping and extension are applied globally *up front* (exactly
         the tree mutations a one-shot analysis performs), so the fixpoint
         reached after the last transaction equals the one-shot fixpoint —
-        but with ``stop_on_violation`` the walk stops at the first
-        transaction whose integration closes a cycle, skipping the whole
-        tail.  Dependency relations only grow with each appended
-        transaction, so an early violation is final.  Returns
-        :attr:`violated`.  Requires ``track_cycles=True``.
+        but the walk stops at the first transaction whose integration
+        closes a cycle, skipping the whole tail.  Dependency relations only
+        grow with each appended transaction, so an early violation is
+        final.  Returns :attr:`violated`.  Requires ``track_cycles=True``.
         """
         if not self.track_cycles:
             raise ReproError("run_per_transaction requires track_cycles=True")
@@ -555,7 +265,7 @@ class IncrementalDependencyEngine:
         if self.extend:
             extend_system(self.system)
         for txn in self.system.tops:
-            if stop_on_violation and self.violated:
+            if self.violated:
                 break
             self._integrate_tree(txn)
             self._drain()
@@ -621,10 +331,9 @@ class IncrementalDependencyEngine:
     ) -> None:
         """Merge new actions into a schedule and derive their base facts.
 
-        When the schedule is empty this reproduces the batch engine's
-        per-object setup (nodes, Axiom 1, Definition 7) in the identical
-        iteration order; on later appends only pairs with a new member are
-        examined.
+        When the schedule is empty this is the whole per-object setup
+        (nodes, Axiom 1, Definition 7) in seq order; on later appends only
+        pairs with a new member are examined.
         """
         if not new_actions:
             return
@@ -712,24 +421,7 @@ class IncrementalDependencyEngine:
                         sched, second, first, "Definition 7: program precedence", ()
                     )
 
-    # -- observation (the append/observe_edge surface) ------------------------
-
-    def observe_edge(
-        self, oid: ObjectId, relation: str, src: ActionNode, dst: ActionNode
-    ) -> None:
-        """Record an externally supplied edge and propagate its consequences.
-
-        ``relation`` is ``"action"`` or ``"txn"``.  Mostly a testing/embedding
-        hook; the executor-facing surface is :meth:`append_transaction`.
-        """
-        sched = self._schedule_for(oid)
-        if relation == "action":
-            self._observe_action(sched, src, dst, "observed", ())
-        elif relation == "txn":
-            self._observe_txn(sched, src, dst, "observed", ())
-        else:
-            raise ReproError(f"unknown relation {relation!r}")
-        self._drain()
+    # -- observation ---------------------------------------------------------
 
     def _observe_action(
         self,
@@ -785,7 +477,7 @@ class IncrementalDependencyEngine:
                     self.violated = True
             if src.obj != dst.obj:
                 # Definition 15, eagerly: boolean consumers never run the
-                # batch-shaped finalize pass.
+                # finalize pass.
                 self._record_added(sched, src, dst)
 
     def _record_added(
@@ -871,7 +563,16 @@ class IncrementalDependencyEngine:
         )
 
     def _push_cross(self, src: ActionNode, dst: ActionNode) -> None:
-        """The cross-object closure walk (see the batch engine's docstring)."""
+        """Lift one cross-object dependency toward a common object.
+
+        A pair of actions on different objects cannot be shown to commute
+        (commutativity is per object), so the ordering constraint between
+        them is inherited by their callers: the deeper endpoint is replaced
+        by its caller until both endpoints are actions on one object (then
+        the constraint joins that object's ``<·`` and the usual machinery —
+        including commutativity — takes over) or both are top-level roots
+        (then it is a top-level ordering constraint).
+        """
         if self._m_cross is not None:
             self._m_cross.value += 1
         pair: tuple[ActionNode, ActionNode] | None = (src, dst)
@@ -916,9 +617,9 @@ class IncrementalDependencyEngine:
     # -- finalize -------------------------------------------------------------
 
     def _finalize_added(self) -> None:
-        """Definition 15 in the batch engine's shape (one-shot runs only):
-        iterating finished relations keeps the added-edge insertion order —
-        and with it combined-graph cycle witnesses — byte-identical."""
+        """Definition 15 over the finished relations (one-shot runs only):
+        iterating them in order fixes the added-edge insertion order — and
+        with it combined-graph cycle witnesses — to the reference's."""
         for sched in self.schedules.values():
             for src, dst in sched.txn_dep.iter_edges():
                 if src.obj == dst.obj:
@@ -935,7 +636,3 @@ class IncrementalDependencyEngine:
                             sched.oid,
                         )
 
-
-def order_by_seq(actions: Iterable[ActionNode]) -> list[ActionNode]:
-    """Utility: sort actions by execution order (seq, then aid)."""
-    return sorted(actions, key=lambda a: (a.seq, a.aid))

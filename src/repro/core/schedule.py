@@ -55,9 +55,9 @@ class ObjectSchedule:
     """``Sch = (TS, O, <·, ↝)`` plus the added action dependencies of Def. 15.
 
     The dependency relations are *computed* by
-    :class:`repro.core.dependency.DependencyAnalysis`; this class stores the
-    result and answers the Definition 7/8 property checks.  Graph nodes are
-    :class:`ActionNode` instances (identity-hashed).
+    :class:`repro.core.dependency.IncrementalDependencyEngine`; this class
+    stores the result and answers the Definition 7/8 property checks.  Graph
+    nodes are :class:`ActionNode` instances (identity-hashed).
     """
 
     system: TransactionSystem

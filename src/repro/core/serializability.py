@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.actions import ActionNode, same_process
 from repro.core.commutativity import CommutativityRegistry
-from repro.core.dependency import DependencyAnalysis
+from repro.core.dependency import IncrementalDependencyEngine
 from repro.core.graph import DirectedGraph
 from repro.core.identifiers import ObjectId
 from repro.core.schedule import ObjectSchedule
@@ -134,26 +134,38 @@ def analyze_system(
     *,
     extend: bool = True,
     propagate_cross_object: bool = True,
-    engine: str | None = None,
 ) -> tuple[SystemVerdict, dict[ObjectId, ObjectSchedule]]:
     """Run the full pipeline: extension, dependency inheritance, verdicts.
 
     Returns the system verdict together with every object schedule so that
     callers (examples, benches) can print the per-object dependency tables of
-    Figures 4, 7 and 8.  ``propagate_cross_object=False`` selects the literal
-    Definition 15/16 reading (see the module docstring of
-    :mod:`repro.core.dependency` and DESIGN.md for why the closure is the
-    default).  ``engine`` overrides the ``REPRO_ANALYSIS`` engine choice
-    (``"batch"``/``"incremental"``); both engines are byte-identical here.
+    Figures 4, 7 and 8.  The system is mutated first: methods are re-stamped
+    at their first own-object effect
+    (:func:`~repro.core.dependency.linearize_effects`), then the
+    Definition 5 extension is applied unless ``extend=False`` (only to
+    demonstrate why it is needed, ablation bench A2: verdicts on unextended
+    systems with call cycles are not trustworthy).
+    ``propagate_cross_object=False`` selects the literal Definition 15/16
+    reading (see the module docstring of :mod:`repro.core.dependency` and
+    DESIGN.md for why the closure is the default).
     """
-    analysis = DependencyAnalysis(
+    engine = IncrementalDependencyEngine(
         system,
         commutativity,
-        extend=extend,
         propagate_cross_object=propagate_cross_object,
-        engine=engine,
+        extend=extend,
     )
-    schedules = analysis.schedules()
+    schedules = engine.run()
+    return system_verdict(system, schedules, engine.top_cross_deps), schedules
+
+
+def system_verdict(
+    system: TransactionSystem,
+    schedules: dict[ObjectId, ObjectSchedule],
+    top_cross_deps: set[tuple[ActionNode, ActionNode]],
+) -> SystemVerdict:
+    """Definition 16 on computed object schedules plus the top-level
+    ordering constraints the cross-object closure discovered."""
     verdicts = {oid: judge_object(sched) for oid, sched in schedules.items()}
 
     # Only dependencies that propagate all the way to the transaction roots
@@ -169,14 +181,14 @@ def analyze_system(
             for src, dst in graph.iter_edges():
                 if src.parent is None and dst.parent is None and src.top != dst.top:
                     global_top.add_edge(src.top, dst.top)
-    for src, dst in analysis.top_cross_deps:
+    for src, dst in top_cross_deps:
         if src.top != dst.top:
             global_top.add_edge(src.top, dst.top)
 
     verdict = SystemVerdict(object_verdicts=verdicts, global_top_graph=global_top)
     if verdict.oo_serializable and global_top.is_acyclic():
         verdict.serial_order = global_top.topological_order()
-    return verdict, schedules
+    return verdict
 
 
 def equivalent(first: ObjectSchedule, second: ObjectSchedule) -> bool:

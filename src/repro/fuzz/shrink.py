@@ -20,9 +20,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from repro.core.dependency import analysis_engine
 from repro.errors import ReproError
-from repro.fuzz.driver import execute_cell, run_cell
+from repro.fuzz.driver import execute_cell
 from repro.fuzz.generator import WorkloadSpec
 from repro.fuzz.oracle import Ablation, judge_violation, strictness_for
 
@@ -66,28 +65,23 @@ def still_fails(
 ) -> bool:
     """Does the candidate spec still reproduce the oracle violation?
 
-    With the incremental engine the candidate history is judged by the
-    boolean fast path (:func:`~repro.fuzz.oracle.judge_violation`): the
-    committed prefix's analysis is reused across the per-transaction walk
-    and the first cycle short-circuits, instead of rebuilding the full
-    fixpoint plus a report the shrinker would throw away.
+    The candidate history is judged by the boolean fast path
+    (:func:`~repro.fuzz.oracle.judge_violation`): the committed prefix's
+    analysis is reused across the per-transaction walk and the first cycle
+    short-circuits, instead of rebuilding the full fixpoint plus a report
+    the shrinker would throw away.
     """
     if not spec.programs:
         return False
     try:
-        if analysis_engine() == "incremental":
-            result = execute_cell(spec, protocol, exec_seed=exec_seed)
-            return judge_violation(
-                result, ablation, strict_cross_object=strictness_for(protocol)
-            )
-        _result, report = run_cell(
-            spec, protocol, exec_seed=exec_seed, ablation=ablation
+        result = execute_cell(spec, protocol, exec_seed=exec_seed)
+        return judge_violation(
+            result, ablation, strict_cross_object=strictness_for(protocol)
         )
     except ReproError:
         # A candidate that crashes the simulator is not the failure we are
         # chasing; reject the edit.
         return False
-    return report.violation
 
 
 def _referenced_objects(spec: WorkloadSpec) -> set[str]:

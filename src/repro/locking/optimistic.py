@@ -54,7 +54,7 @@ class OptimisticCertifier(LockingScheduler):
         )
         #: cached incremental analysis of the committed projection; each
         #: validation *extends* it with the candidate instead of re-running
-        #: Definitions 10-16 from empty (REPRO_ANALYSIS=incremental only)
+        #: Definitions 10-16 from empty
         self._engine = None
         #: candidate appended to the cached engine but not yet committed
         self._pending_label: str | None = None
@@ -86,13 +86,8 @@ class OptimisticCertifier(LockingScheduler):
         force the commit record, then release locks in :meth:`commit`.
         """
         if self.db is not None and not ctx.runtime_data.get("compensating"):
-            from repro.core.dependency import analysis_engine
-
             self._n_validations.value += 1
-            if analysis_engine() == "incremental":
-                ok = self._validate_incremental(ctx)
-            else:
-                ok = self._validate_batch(ctx)
+            ok = self._validate(ctx)
             bus = self.bus
             if bus.active:
                 from repro.obs.events import AnalysisVerdict
@@ -113,17 +108,7 @@ class OptimisticCertifier(LockingScheduler):
                 # for concurrent writers).  ``Scheduler.abort`` releases.
                 raise TransactionAborted(ctx.txn_id, "validation failed")
 
-    def _validate_batch(self, ctx) -> bool:
-        """Re-analyze committed ∪ {candidate} from scratch (legacy path)."""
-        from repro.core.serializability import analyze_system
-        from repro.oodb.trace import committed_projection
-
-        labels = set(self._committed) | {ctx.txn_id}
-        projection = committed_projection(self.db.system, labels)
-        verdict, _ = analyze_system(projection, self.db.commutativity_registry())
-        return verdict.oo_serializable
-
-    def _validate_incremental(self, ctx) -> bool:
+    def _validate(self, ctx) -> bool:
         """Extend the cached committed-prefix analysis with the candidate.
 
         The engine holds the Definition 10/11/15 fixpoint of everything
@@ -131,20 +116,14 @@ class OptimisticCertifier(LockingScheduler):
         validating a commit costs only the candidate's own dependency
         deltas.  The engine mutates the same shared call trees the one-shot
         analysis would (re-stamping, Definition 5 extension), so decisions
-        match the batch path exactly.  A failed candidate's edges cannot be
-        retracted from the fixpoint, so failure discards the cache — the
-        next validation rebuilds from the (valid) committed prefix.
+        match a from-scratch analysis of committed ∪ {candidate} exactly.
+        A failed candidate's edges cannot be retracted from the fixpoint, so
+        failure discards the cache — the next validation rebuilds from the
+        (valid) committed prefix.
         """
         from repro.core.dependency import IncrementalDependencyEngine
         from repro.oodb.trace import committed_projection
 
-        candidate = None
-        for txn in self.db.system.tops:
-            if txn.label == ctx.txn_id:
-                candidate = txn
-                break
-        if candidate is None:
-            return True  # nothing executed: trivially serializable
         registry = self.db.commutativity_registry()
         if self._engine is None:
             projection = committed_projection(
@@ -158,7 +137,7 @@ class OptimisticCertifier(LockingScheduler):
             # Objects created since the cache was built carry their own
             # specifications; the db-side cache makes this refresh cheap.
             self._engine.commutativity = registry
-        self._engine.append_transaction(candidate)
+        self._engine.append_transaction(ctx.txn)
         if self._engine.violated:
             self._engine = None
             self._pending_label = None

@@ -6,7 +6,6 @@ and climbs to the top for same-key conflicts.
 """
 
 from repro.core import analyze_system
-from repro.core.dependency import DependencyAnalysis, order_by_seq
 from repro.core.transactions import TransactionSystem
 from repro.scenarios import (
     encyclopedia_registry,
@@ -25,8 +24,7 @@ class TestBootstrap:
         w = system.transaction("T1").call("Page1", "write")
         r = system.transaction("T2").call("Page1", "read")
         system.order_primitives([w, r])
-        analysis = DependencyAnalysis(system, encyclopedia_registry())
-        sched = analysis.schedule("Page1")
+        sched = analyze_system(system, encyclopedia_registry())[1]["Page1"]
         assert sched.action_dep.has_edge(w, r)
         assert not sched.action_dep.has_edge(r, w)
 
@@ -34,8 +32,7 @@ class TestBootstrap:
         system = TransactionSystem()
         r1 = system.transaction("T1").call("Page1", "read")
         r2 = system.transaction("T2").call("Page1", "read")
-        analysis = DependencyAnalysis(system, encyclopedia_registry())
-        sched = analysis.schedule("Page1")
+        sched = analyze_system(system, encyclopedia_registry())[1]["Page1"]
         assert not sched.action_dep.has_edge(r1, r2)
         assert not sched.action_dep.has_edge(r2, r1)
 
@@ -44,8 +41,7 @@ class TestBootstrap:
         t1 = system.transaction("T1")
         w1 = t1.call("Page1", "write")
         w2 = t1.call("Page1", "write")
-        analysis = DependencyAnalysis(system, encyclopedia_registry())
-        sched = analysis.schedule("Page1")
+        sched = analyze_system(system, encyclopedia_registry())[1]["Page1"]
         # same process: no conflict edge, only the program-precedence edge
         assert sched.action_dep.has_edge(w1, w2)
         assert not sched.txn_dep.edges
@@ -65,8 +61,7 @@ class TestBootstrap:
             "Doc",
             MatrixCommutativity({("edit", "edit"): lambda a, b: a.args[0] != b.args[0]}),
         )
-        analysis = DependencyAnalysis(system, registry)
-        sched = analysis.schedule("Doc")
+        sched = analyze_system(system, registry)[1]["Doc"]
         assert sched.action_dep.has_edge(nonprim, prim)
 
 
@@ -144,12 +139,3 @@ class TestCrossObjectClosure:
         # call-depth asymmetry hides the contradiction from the per-object
         # action-level acyclicity checks.
         assert verdict.oo_serializable
-
-
-def test_order_by_seq():
-    system = TransactionSystem()
-    t1 = system.transaction("T1")
-    a = t1.call("O", "a")
-    b = t1.call("O", "b")
-    system.order_primitives([b, a])
-    assert order_by_seq([a, b]) == [b, a]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import analyze_system
-from repro.core.dependency import DependencyAnalysis
 from repro.core.serializability import (
     conventional_constraints,
     conventional_serializable,
@@ -125,8 +124,7 @@ class TestJudgeObject:
         a2 = t1.call("Page1", "write")
         b2 = t2.call("Page1", "write")
         system.order_primitives([a1, b1, a2, b2])
-        analysis = DependencyAnalysis(system, encyclopedia_registry())
-        sched = analysis.schedule("Page1")
+        sched = analyze_system(system, encyclopedia_registry())[1]["Page1"]
         verdict = judge_object(sched)
         assert not verdict.serial_equivalent_exists
         assert verdict.top_cycle is not None

@@ -1,19 +1,20 @@
-"""Differential suite: the incremental engine is byte-identical to batch.
+"""Differential suite: the dependency engine is byte-identical to the
+batch reference fixpoint (:mod:`tests.reference_analysis`).
 
 Three layers of equivalence, over fuzz-generated histories under every
 protocol:
 
-1. **One-shot identity** — ``analyze_system(engine="incremental")`` produces
-   the same verdict, the same per-object relations *in the same iteration
-   order*, the same first-reason-wins provenance and the same rendered
-   descriptions as ``engine="batch"``.  This is what lets the default
-   engine flip without a single report byte changing.
+1. **One-shot identity** — ``analyze_system`` produces the same verdict,
+   the same per-object relations *in the same iteration order*, the same
+   first-reason-wins provenance and the same rendered descriptions as the
+   reference.  This is what keeps every pinned report byte tied to the
+   paper's fixpoint rather than to the engine's evaluation order.
 2. **Fast-judge agreement** — the boolean per-transaction walk
    (:func:`repro.fuzz.oracle.judge_violation`) equals
    ``check_history(...).violation``, with and without ablations.
 3. **Prefix-append agreement** — appending committed transactions one at a
    time to an :class:`IncrementalDependencyEngine` (the certifier's cached
-   path) yields, after every prefix, the verdict a from-scratch batch
+   path) yields, after every prefix, the verdict a from-scratch reference
    analysis of that prefix's projection gives.
 """
 
@@ -31,6 +32,7 @@ from repro.fuzz.oracle import (
     strictness_for,
 )
 from repro.oodb.trace import committed_projection
+from tests.reference_analysis import reference_analyze_system
 
 #: ≥50 seeds per protocol (ISSUE 4 acceptance criterion)
 SEEDS = range(50)
@@ -56,7 +58,7 @@ class _Aid:
 
 def _analyze_both(result, *, strict, ablation=None):
     outputs = []
-    for engine in ("batch", "incremental"):
+    for analyze in (reference_analyze_system, analyze_system):
         registry = result.db.commutativity_registry()
         if ablation is not None:
             registry = ablation.apply(registry)
@@ -64,12 +66,7 @@ def _analyze_both(result, *, strict, ablation=None):
             result.db.system, result.committed_labels
         )
         outputs.append(
-            analyze_system(
-                projection,
-                registry,
-                propagate_cross_object=strict,
-                engine=engine,
-            )
+            analyze(projection, registry, propagate_cross_object=strict)
         )
     return outputs
 
@@ -158,8 +155,8 @@ def test_fast_judge_agrees_with_check_history(protocol):
 def test_prefix_appends_agree_with_batch(protocol):
     """The certifier's shape: committed transactions appended one at a time.
 
-    After each append, the engine's boolean must equal a from-scratch batch
-    analysis of the same prefix — including the cases where the extension
+    After each append, the engine's boolean must equal a from-scratch
+    reference analysis of the same prefix — including the cases where the extension
     hangs virtual duplicates off earlier (already analyzed) trees.
     """
     strict = strictness_for(protocol)
@@ -183,11 +180,10 @@ def test_prefix_appends_agree_with_batch(protocol):
         for txn in committed:
             engine.append_transaction(txn)
             prefix.add(txn.label)
-            verdict, _ = analyze_system(
+            verdict, _ = reference_analyze_system(
                 committed_projection(system, prefix),
                 result.db.commutativity_registry(),
                 propagate_cross_object=strict,
-                engine="batch",
             )
             assert engine.violated == (not verdict.oo_serializable), (
                 protocol,

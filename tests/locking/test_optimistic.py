@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.commutativity import MatrixCommutativity
+from repro.core.transactions import TransactionSystem
 from repro.errors import TransactionAborted
 from repro.locking import OptimisticCertifier
 from repro.oodb import DatabaseObject, ObjectDatabase, dbmethod
@@ -131,3 +132,26 @@ def test_page_level_integrity_still_enforced():
     from repro.structures.verify import verify_encyclopedia
 
     assert verify_encyclopedia(db, enc).ok
+
+
+def test_cached_validation_makes_no_pass_over_the_trace(monkeypatch):
+    """Once the cache is warm, validating a commit extends it with the
+    context's own tree: no copy or scan of every tree the database ran."""
+    db = ObjectDatabase(scheduler=OptimisticCertifier())
+    reg = db.create(Register)
+    for label, value in (("T1", 1), ("T2", 2)):
+        ctx = db.begin(label)
+        db.send(ctx, reg, "set", value)
+        db.commit(ctx)
+    assert db.scheduler._engine is not None  # the cache is warm
+
+    def no_scan(system):
+        raise AssertionError("validation read TransactionSystem.tops")
+
+    t3 = db.begin("T3")
+    db.send(t3, reg, "get")
+    with monkeypatch.context() as patch:
+        patch.setattr(TransactionSystem, "tops", property(no_scan))
+        db.commit(t3)
+    assert db.scheduler.stats["validations"] == 3
+    assert db.scheduler.stats["validation_failures"] == 0

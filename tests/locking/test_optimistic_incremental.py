@@ -1,9 +1,10 @@
-"""The certifier's cached-prefix validation matches the batch path exactly.
+"""The certifier's cached-prefix validation matches from-scratch validation.
 
-``REPRO_ANALYSIS=incremental`` makes :class:`OptimisticCertifier` validate
-each commit by extending a cached analysis of the committed prefix;
-``batch`` re-analyzes from empty each time.  Both must make identical
-accept/abort decisions on identical executions — same committed sets, same
+:class:`OptimisticCertifier` validates each commit by extending a cached
+analysis of the committed prefix.  The reference here re-analyzes
+committed ∪ {candidate} from empty with the batch fixpoint of
+:mod:`tests.reference_analysis`.  Both must make identical accept/abort
+decisions on identical executions — same committed sets, same
 validation/failure counts, same final oracle report — including runs where
 validation failures trigger restarts (which is exactly where a stale or
 badly invalidated cache would diverge).
@@ -14,10 +15,22 @@ import pytest
 from repro.errors import ReproError
 from repro.fuzz.driver import run_cell
 from repro.fuzz.generator import generate
+from repro.locking import OptimisticCertifier
+from repro.oodb.trace import committed_projection
+from tests.reference_analysis import reference_analyze_system
 
 
-def _run(spec, monkeypatch, engine):
-    monkeypatch.setenv("REPRO_ANALYSIS", engine)
+def _validate_from_scratch(self, ctx) -> bool:
+    """Re-analyze committed ∪ {candidate} from scratch."""
+    labels = set(self._committed) | {ctx.txn_id}
+    projection = committed_projection(self.db.system, labels)
+    verdict, _ = reference_analyze_system(
+        projection, self.db.commutativity_registry()
+    )
+    return verdict.oo_serializable
+
+
+def _run(spec):
     result, report = run_cell(spec, "optimistic-oo")
     stats = result.db.scheduler.stats
     return (
@@ -34,19 +47,20 @@ def _run(spec, monkeypatch, engine):
 @pytest.mark.parametrize("seed", range(12))
 def test_certifier_decisions_match_batch(seed, monkeypatch):
     spec = generate(seed)
-    try:
-        batch = _run(spec, monkeypatch, "batch")
-    except ReproError:
-        pytest.skip("spec not runnable under the certifier")
-    incremental = _run(spec, monkeypatch, "incremental")
+    with monkeypatch.context() as patch:
+        patch.setattr(OptimisticCertifier, "_validate", _validate_from_scratch)
+        try:
+            batch = _run(spec)
+        except ReproError:
+            pytest.skip("spec not runnable under the certifier")
+    incremental = _run(spec)
     assert batch == incremental
 
 
-def test_some_seed_exercises_validation_failures(monkeypatch):
+def test_some_seed_exercises_validation_failures():
     """Guard against the suite silently losing its interesting cases: at
     least one of the seeds above must produce validation failures (commit-
     time aborts), so the cache-invalidation path is actually covered."""
-    monkeypatch.setenv("REPRO_ANALYSIS", "incremental")
     failures = 0
     for seed in range(12):
         spec = generate(seed)
