@@ -44,9 +44,15 @@ the caller obtains the canonical report (witness strings included) from
 already-linearized, already-extended trees — byte-identical to judging
 the history without a certifier in the loop.
 
-Conflict-sparse stretches — the common case in long histories — therefore
-certify in near-linear time: one tree walk plus an O(1) append per action,
-with a bounded ``bisect`` window scan only when stamps interleave.
+Conflict-sparse stretches therefore certify in near-linear time: one tree
+walk plus an O(1) append per action, with a bounded ``bisect`` window scan
+only when stamps interleave.  Whether a history is conflict-sparse depends
+on the workload, and the service's default one is not: under
+open-nested-oo with batches of eight (the end-to-end ``audit_k8``
+workload, seed 7) 97 of 100 epochs escalate — 52 on
+``conflicting-straggler``, 45 on ``extension`` — so there the exact
+engine's pair kernel is the audit's cost.  ``certify_escalations_total``
+counts the split per reason on any run.
 
 **Epochs.**  The direction argument above is also a retire rule.  When the
 caller knows a *quiescent point* — everything fed so far lies wholly
@@ -270,9 +276,15 @@ class OnlineCertifier:
                 "certify_live_transactions",
                 "committed trees the certifier currently holds",
             )
+            self._m_escalations = metrics.counter(
+                "certify_escalations_total",
+                "certification epochs that escalated to the exact engine, "
+                "by the reason of their first escalation",
+                labelnames=("reason",),
+            )
         else:
             self._m_fast = self._m_exact = self._m_stragglers = None
-            self._m_epochs = self._m_live = None
+            self._m_epochs = self._m_live = self._m_escalations = None
 
     # -- public API ----------------------------------------------------------
 
@@ -358,6 +370,8 @@ class OnlineCertifier:
         self.escalated = True
         self.escalation_reason = reason
         self.escalated_epochs += 1
+        if self._m_escalations is not None:
+            self._m_escalations.labels(reason=reason).value += 1
         engine = IncrementalDependencyEngine(
             self.system,
             self.commutativity,
@@ -397,9 +411,12 @@ class OnlineCertifier:
         Every stamp of the tree must exceed the sealed high-water mark —
         the precondition of the retire rule.  A tree that breaks it is
         refused before anything is mutated: an error, never a verdict.
+        The same walk counts the tree's real actions (not virtual, not the
+        system root), whichever path later certifies it.
         """
         sealed = self._sealed_seq
         high = self._high_seq
+        actions = 0
         for action in txn.actions():
             seq = action.seq
             if seq <= sealed:
@@ -410,7 +427,10 @@ class OnlineCertifier:
                 )
             if seq > high:
                 high = seq
+            if action.obj != SYSTEM_OBJECT and not action.virtual:
+                actions += 1
         self._high_seq = high
+        self.actions += actions
         if self.live_transactions == 0:
             self.epochs += 1
             if self._m_epochs is not None:
@@ -453,7 +473,6 @@ class OnlineCertifier:
                 return ESCALATE_EXTENSION
             if action.virtual:
                 continue
-            self.actions += 1
             prev = last_seq.get(obj)
             if prev is not None and action.seq < prev:
                 return ESCALATE_NONMONOTONE
@@ -500,9 +519,6 @@ class OnlineCertifier:
     def _feed_engine(self, txn: OOTransaction) -> bool:
         engine = self._engine
         assert engine is not None
-        for action in txn.actions():
-            if action.obj != SYSTEM_OBJECT and not action.virtual:
-                self.actions += 1
         self.escalated_commits += 1
         if self._m_exact is not None:
             self._m_exact.value += 1

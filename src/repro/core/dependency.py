@@ -60,12 +60,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.actions import ActionNode
+from repro.core.actions import ActionNode, Invocation
 from repro.core.commutativity import CommutativityRegistry
 from repro.core.extension import extend_system
 from repro.core.graph import OnlineTopology
 from repro.core.identifiers import SYSTEM_OBJECT, ObjectId
-from repro.core.schedule import ObjectSchedule, program_precedes
+from repro.core.schedule import ObjectSchedule, call_path, path_order
 from repro.core.transactions import OOTransaction, TransactionSystem
 from repro.errors import ReproError
 
@@ -155,9 +155,10 @@ class IncrementalDependencyEngine:
     from empty.
 
     With ``track_cycles=True`` every relation feeds an
-    :class:`~repro.core.graph.OnlineTopology` watcher (per-object action,
-    transaction and combined ``<· ∪ <+`` relations, plus the global
-    top-level graph), Definition 15 recording happens eagerly, and
+    :class:`~repro.core.graph.OnlineTopology` watcher (per-object
+    transaction and combined ``<· ∪ <+`` relations — the latter also
+    watches ``<·`` — plus the global top-level graph), Definition 15
+    recording happens eagerly, and
     :attr:`violated` flips at the exact insertion that closes the first
     cycle — the boolean consumers (certifier, fuzz oracle fast path) stop
     there.  Without it, added dependencies are recorded in one pass over
@@ -207,20 +208,14 @@ class IncrementalDependencyEngine:
         self._seen_actions: set[int] = set()
         self._seen_callers: dict[ObjectId, set[int]] = {}
         self._cross_seen: set[tuple[int, int]] = set()
-        #: per-object queues of (relation-order key, src, dst)
+        #: per-object queues of (relation-order key, src, dst[, conflict])
         self._pending_action: dict[ObjectId, list] = {}
         self._pending_txn: dict[ObjectId, list] = {}
-        self._watch_action: dict[ObjectId, OnlineTopology] = {}
         self._watch_txn: dict[ObjectId, OnlineTopology] = {}
         self._watch_combined: dict[ObjectId, OnlineTopology] = {}
         self._watch_global: OnlineTopology = OnlineTopology()
 
     # -- public API ----------------------------------------------------------
-
-    @property
-    def system_oo_serializable(self) -> bool:
-        """Definition 16 on everything integrated so far (track_cycles)."""
-        return not self.violated
 
     def run(self) -> dict[ObjectId, ObjectSchedule]:
         """One-shot: integrate every transaction, object by object, and drain."""
@@ -302,9 +297,6 @@ class IncrementalDependencyEngine:
 
     # -- integration ---------------------------------------------------------
 
-    def _conflict(self, a: ActionNode, b: ActionNode) -> bool:
-        return self.commutativity.in_conflict(a, b)
-
     def _schedule_for(self, oid: ObjectId) -> ObjectSchedule:
         sched = self.schedules.get(oid)
         if sched is None:
@@ -316,11 +308,14 @@ class IncrementalDependencyEngine:
         self, txn: OOTransaction, extras: Iterable[ActionNode] = ()
     ) -> None:
         """Queue every not-yet-seen action of ``txn`` (plus ``extras`` —
-        virtual duplicates the extension attached to other trees)."""
+        virtual duplicates the extension attached to this or other trees;
+        one hanging off ``txn`` is also among its actions and counts once)."""
         fresh: dict[ObjectId, list[ActionNode]] = {}
+        seen = self._seen_actions
         for action in list(txn.actions()) + list(extras):
-            if action.obj == SYSTEM_OBJECT or id(action) in self._seen_actions:
+            if action.obj == SYSTEM_OBJECT or id(action) in seen:
                 continue
+            seen.add(id(action))
             fresh.setdefault(action.obj, []).append(action)
         for oid in sorted(fresh):
             new_actions = sorted(fresh[oid], key=lambda a: (a.seq, a.aid))
@@ -371,81 +366,95 @@ class IncrementalDependencyEngine:
             for caller in new_callers:
                 sched.txn_dep.add_node(caller)
 
-        position = {id(a): i for i, a in enumerate(merged)}
-
-        # Axiom 1 over pairs with a new member (and a primitive member).
-        for outer in merged:
-            if id(outer) not in new_ids:
+        # One pass decides every pair with a new member: each new action,
+        # in schedule order, against every other action (a pair of two new
+        # actions once, from its earlier member).  Per-action facts are
+        # looked up once per integration.  A same-tree pair is decided by
+        # program order first: an ordered pair is Definition 7's edge and,
+        # being one process, commutes by Definition 9.  Only unordered
+        # pairs with a primitive member reach the specification (Axiom 1).
+        # All Axiom 1 edges are recorded before all Definition 7 edges,
+        # each kind in pair order: relation order is part of the output.
+        fresh = [id(a) in new_ids for a in merged]
+        paths = [call_path(a) for a in merged]
+        primitive = [not a.children for a in merged]
+        invocations: list[Invocation | None] = [None] * len(merged)
+        commutes = self.commutativity.for_object(sched.oid).commutes
+        bootstrap: list[tuple[ActionNode, ActionNode, tuple]] = []
+        program: list[tuple[ActionNode, ActionNode, tuple]] = []
+        for i in range(len(merged)):
+            if not fresh[i]:
                 continue
-            outer_pos = position[id(outer)]
-            for inner in merged:
-                if inner is outer:
+            root = paths[i][0]
+            outer_primitive = primitive[i]
+            for j in range(len(merged)):
+                if j == i or (j < i and fresh[j]):
                     continue
-                inner_pos = position[id(inner)]
-                if id(inner) in new_ids and inner_pos < outer_pos:
-                    continue  # the pair was handled with roles swapped
-                first, second = (
-                    (outer, inner) if outer_pos < inner_pos else (inner, outer)
-                )
-                if not (first.is_primitive or second.is_primitive):
+                first, second = (i, j) if i < j else (j, i)
+                if paths[j][0] is root:
+                    order = path_order(paths[first], paths[second])
+                    if order:
+                        if order < 0:
+                            first, second = second, first
+                        program.append((merged[first], merged[second], ()))
+                        continue
+                if not (outer_primitive or primitive[j]):
                     continue
-                if self._conflict(first, second):
-                    self._observe_action(
-                        sched,
-                        first,
-                        second,
-                        "Axiom 1: executed {} < {}",
-                        (first.seq, second.seq),
-                    )
+                left = invocations[first]
+                if left is None:
+                    left = invocations[first] = merged[first].invocation()
+                right = invocations[second]
+                if right is None:
+                    right = invocations[second] = merged[second].invocation()
+                if not commutes(left, right):
+                    src, dst = merged[first], merged[second]
+                    bootstrap.append((src, dst, (src.seq, dst.seq)))
 
-        # Definition 7 over pairs with a new member.
-        for outer in merged:
-            if id(outer) not in new_ids:
-                continue
-            outer_pos = position[id(outer)]
-            for inner in merged:
-                if inner is outer:
-                    continue
-                inner_pos = position[id(inner)]
-                if id(inner) in new_ids and inner_pos < outer_pos:
-                    continue
-                first, second = (
-                    (outer, inner) if outer_pos < inner_pos else (inner, outer)
-                )
-                if program_precedes(first, second):
-                    self._observe_action(
-                        sched, first, second, "Definition 7: program precedence", ()
-                    )
-                elif program_precedes(second, first):
-                    self._observe_action(
-                        sched, second, first, "Definition 7: program precedence", ()
-                    )
+        self._observe_actions(
+            sched, bootstrap, "Axiom 1: executed {} < {}", conflict=True
+        )
+        self._observe_actions(
+            sched, program, "Definition 7: program precedence", conflict=False
+        )
 
     # -- observation ---------------------------------------------------------
 
-    def _observe_action(
+    def _observe_actions(
         self,
         sched: ObjectSchedule,
-        src: ActionNode,
-        dst: ActionNode,
+        edges: Iterable[tuple[ActionNode, ActionNode, tuple]],
         template: str,
-        args: tuple,
+        conflict: bool | None = None,
     ) -> None:
+        """Record action dependencies, in order: ``(src, dst, reason args)``.
+
+        ``conflict`` is what is already known about every pair: True
+        (Axiom 1 found it), False (program ordered — it can never lift, so
+        it is not queued) or None (decided when Definition 10 reaches it).
+        """
         graph = sched.action_dep
-        if graph.has_edge(src, dst):
-            return
-        graph.add_edge(src, dst)
+        queue = watcher = None
+        observed = 0
+        for src, dst, args in edges:
+            key = graph.insert_edge(src, dst)
+            if key is None:
+                continue
+            observed += 1
+            sched.record_reason("action", src, dst, template, *args)
+            if conflict is not False:
+                if queue is None:
+                    queue = self._pending_action.setdefault(sched.oid, [])
+                queue.append((key, src, dst, conflict))
+            if self.track_cycles:
+                # <· is part of <· ∪ <+ on the same object, so a cycle in
+                # the action relation closes in the combined watcher at the
+                # same insertion; one watcher serves both.
+                if watcher is None:
+                    watcher = self._watch(self._watch_combined, sched.oid)
+                if watcher.add_edge_checked(src, dst):
+                    self.violated = True
         if self._m_edges is not None:
-            self._m_edges.value += 1
-        sched.record_reason("action", src, dst, template, *args)
-        self._pending_action.setdefault(sched.oid, []).append(
-            (graph.edge_sort_key(src, dst), src, dst)
-        )
-        if self.track_cycles:
-            if self._watch(self._watch_action, sched.oid).add_edge_checked(src, dst):
-                self.violated = True
-            if self._watch(self._watch_combined, sched.oid).add_edge_checked(src, dst):
-                self.violated = True
+            self._m_edges.value += observed
 
     def _observe_txn(
         self,
@@ -455,16 +464,13 @@ class IncrementalDependencyEngine:
         template: str,
         args: tuple,
     ) -> None:
-        graph = sched.txn_dep
-        if graph.has_edge(src, dst):
+        key = sched.txn_dep.insert_edge(src, dst)
+        if key is None:
             return
-        graph.add_edge(src, dst)
         if self._m_edges is not None:
             self._m_edges.value += 1
         sched.record_reason("txn", src, dst, template, *args)
-        self._pending_txn.setdefault(sched.oid, []).append(
-            (graph.edge_sort_key(src, dst), src, dst)
-        )
+        self._pending_txn.setdefault(sched.oid, []).append((key, src, dst))
         if self.track_cycles:
             if self._watch(self._watch_txn, sched.oid).add_edge_checked(src, dst):
                 self.violated = True
@@ -519,8 +525,8 @@ class IncrementalDependencyEngine:
                 sched = self.schedules[oid]
                 entries = batch[oid]
                 entries.sort(key=lambda entry: entry[0])
-                for _, src, dst in entries:
-                    self._lift(sched, src, dst)
+                for _, src, dst, conflict in entries:
+                    self._lift(sched, src, dst, conflict)
             # Phase 2 — Definition 11 / cross-object closure over newly
             # derived transaction dependencies (including phase 1's).
             batch = self._pending_txn
@@ -532,9 +538,15 @@ class IncrementalDependencyEngine:
                 for _, src, dst in entries:
                     self._flow(sched, src, dst)
 
-    def _lift(self, sched: ObjectSchedule, src: ActionNode, dst: ActionNode) -> None:
-        """Definition 10 on one action dependency."""
-        if not self._conflict(src, dst):
+    def _lift(
+        self,
+        sched: ObjectSchedule,
+        src: ActionNode,
+        dst: ActionNode,
+        conflict: bool | None,
+    ) -> None:
+        """Definition 10 on one action dependency (``conflict`` as queued)."""
+        if conflict is None and not self.commutativity.in_conflict(src, dst):
             return
         caller_src, caller_dst = src.parent, dst.parent
         if caller_src is None or caller_dst is None:
@@ -558,8 +570,8 @@ class IncrementalDependencyEngine:
         target = self.schedules.get(src.obj)
         if target is None:
             return
-        self._observe_action(
-            target, src, dst, "Definition 11: inherited from {}", (sched.oid,)
+        self._observe_actions(
+            target, ((src, dst, (sched.oid,)),), "Definition 11: inherited from {}"
         )
 
     def _push_cross(self, src: ActionNode, dst: ActionNode) -> None:
@@ -593,12 +605,10 @@ class IncrementalDependencyEngine:
                 target = self.schedules.get(left.obj)
                 if target is not None and left in target.action_dep \
                         and right in target.action_dep:
-                    self._observe_action(
+                    self._observe_actions(
                         target,
-                        left,
-                        right,
+                        ((left, right, (src, dst)),),
                         "cross-object closure (from {} -> {})",
-                        (src, dst),
                     )
                     return
             if left.depth > right.depth and left.parent is not None:

@@ -36,7 +36,7 @@ class DirectedGraph(Generic[Node]):
 
     Nodes and per-node successors are stored in insertion order; the
     dependency engine relies on this to replay the batch analysis's
-    derivation order exactly (see ``edge_sort_key``).
+    derivation order exactly (see ``insert_edge``).
     """
 
     def __init__(self, edges: Iterable[tuple[Node, Node]] = ()) -> None:
@@ -65,10 +65,6 @@ class DirectedGraph(Generic[Node]):
         if dst not in slot:
             slot[dst] = len(slot)
             self._pred[dst][src] = None
-
-    def add_edges(self, edges: Iterable[tuple[Node, Node]]) -> None:
-        for src, dst in edges:
-            self.add_edge(src, dst)
 
     def copy(self) -> "DirectedGraph[Node]":
         clone: DirectedGraph[Node] = DirectedGraph()
@@ -103,16 +99,26 @@ class DirectedGraph(Generic[Node]):
             for dst in dsts:
                 yield (src, dst)
 
-    def edge_sort_key(self, src: Node, dst: Node) -> tuple[int, int]:
-        """Position of an edge in ``iter_edges`` order.
+    def insert_edge(self, src: Node, dst: Node) -> tuple[int, int] | None:
+        """Add ``src -> dst`` if absent; return its position, else None.
 
-        The incremental engine tags each newly observed edge with this key
-        so a worklist round can process new edges in exactly the order the
-        batch fixpoint would have encountered them while rescanning the
-        whole relation — the property that makes the two engines'
-        first-reason-wins provenance and cycle witnesses byte-identical.
+        The position is the edge's place in ``iter_edges`` order.  The
+        dependency engine tags each newly observed edge with it so a
+        worklist round can process new edges in exactly the order the batch
+        fixpoint would have encountered them while rescanning the whole
+        relation — the property that keeps the engine's first-reason-wins
+        provenance and cycle witnesses byte-identical to that fixpoint's.
         """
-        return (self._node_index[src], self._succ[src][dst])
+        slot = self._succ.get(src)
+        if slot is None:
+            self.add_node(src)
+            slot = self._succ[src]
+        elif dst in slot:
+            return None
+        self.add_node(dst)
+        index = slot[dst] = len(slot)
+        self._pred[dst][src] = None
+        return (self._node_index[src], index)
 
     def successors(self, node: Node) -> set[Node]:
         return set(self._succ.get(node, ()))
@@ -257,9 +263,9 @@ class OnlineTopology(Generic[Node]):
 
     def __init__(self) -> None:
         self._index: dict[Node, int] = {}
-        self._succ: dict[Node, list[Node]] = {}
-        self._pred: dict[Node, list[Node]] = {}
-        self._edges: set[tuple[Node, Node]] = set()
+        # adjacency in insertion order; dict keys double as the edge set
+        self._succ: dict[Node, dict[Node, None]] = {}
+        self._pred: dict[Node, dict[Node, None]] = {}
         #: the first cycle closed by an insertion, as ``[n0, ..., n0]``
         self.cycle: list[Node] | None = None
 
@@ -273,8 +279,8 @@ class OnlineTopology(Generic[Node]):
     def add_node(self, node: Node) -> None:
         if node not in self._index:
             self._index[node] = len(self._index)
-            self._succ[node] = []
-            self._pred[node] = []
+            self._succ[node] = {}
+            self._pred[node] = {}
 
     def add_edge_checked(self, src: Node, dst: Node) -> list[Node] | None:
         """Insert ``src -> dst``; return the first cycle it closes, or None.
@@ -285,19 +291,22 @@ class OnlineTopology(Generic[Node]):
         insertions return None without searching — ``cycle`` keeps the
         original witness.
         """
-        self.add_node(src)
-        self.add_node(dst)
-        if (src, dst) in self._edges:
+        index = self._index
+        if src not in index:
+            self.add_node(src)
+        if dst not in index:
+            self.add_node(dst)
+        successors = self._succ[src]
+        if dst in successors:
             return None
-        self._edges.add((src, dst))
-        self._succ[src].append(dst)
-        self._pred[dst].append(src)
+        successors[dst] = None
+        self._pred[dst][src] = None
         if self.cycle is not None:
             return None  # already permanently cyclic; order abandoned
         if src is dst or src == dst:
             self.cycle = [src, src]
             return self.cycle
-        lower, upper = self._index[dst], self._index[src]
+        lower, upper = index[dst], index[src]
         if lower > upper:
             return None  # order already consistent
         return self._discover(src, dst, lower, upper)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.actions import ActionNode, lowest_common_ancestor, _child_of_on_path
+from repro.core.actions import ActionNode
 from repro.core.graph import DirectedGraph
 from repro.core.identifiers import ObjectId
 from repro.core.transactions import TransactionSystem
@@ -38,16 +38,44 @@ def program_precedes(a: ActionNode, b: ActionNode) -> bool:
     """
     if a is b or a.root is not b.root:
         return False
-    lca = lowest_common_ancestor(a, b)
-    if lca is None:
-        return False
-    if lca is a:
-        return True  # a calls b (directly or indirectly)
-    if lca is b:
-        return False
-    branch_a = _child_of_on_path(lca, a)
-    branch_b = _child_of_on_path(lca, b)
-    return branch_a.precedes_sibling(branch_b)
+    return path_order(call_path(a), call_path(b)) > 0
+
+
+def call_path(action: ActionNode) -> list[ActionNode]:
+    """``action`` and every action calling it, root first."""
+    path = [action]
+    node = action.parent
+    while node is not None:
+        path.append(node)
+        node = node.parent
+    path.reverse()
+    return path
+
+
+def path_order(path_a: list[ActionNode], path_b: list[ActionNode]) -> int:
+    """Definition 7 on two distinct actions, given as their call paths.
+
+    Decided once for both directions: 1 if the program orders ``a`` before
+    ``b``, -1 if ``b`` before ``a``, 0 if it leaves them unordered (always
+    so for actions of different trees).  An ordered pair is also a
+    ``same_process`` pair, so by Definition 9 it never conflicts.
+    """
+    if path_a[0] is not path_b[0]:
+        return 0
+    shared = min(len(path_a), len(path_b))
+    depth = 1
+    while depth < shared and path_a[depth] is path_b[depth]:
+        depth += 1
+    if depth == len(path_a):
+        return 1  # a calls b (directly or indirectly)
+    if depth == len(path_b):
+        return -1
+    branch_a, branch_b = path_a[depth], path_b[depth]
+    if branch_a.precedes_sibling(branch_b):
+        return 1
+    if branch_b.precedes_sibling(branch_a):
+        return -1
+    return 0
 
 
 @dataclass

@@ -15,7 +15,9 @@ from repro.core.certify import (
     ESCALATE_CONFLICT,
     ESCALATE_EXTENSION,
     ESCALATE_NONMONOTONE,
+    ESCALATE_UNORDERED_SIBLINGS,
     ESCALATE_WINDOW,
+    STRAGGLER_SCAN_LIMIT,
     CertificationReport,
     OnlineCertifier,
     certified_base,
@@ -27,6 +29,7 @@ from repro.errors import ScheduleError
 from repro.fuzz.driver import execute_cell
 from repro.fuzz.generator import GeneratorProfile, generate
 from repro.fuzz.oracle import check_history, strictness_for
+from repro.obs.metrics import MetricsRegistry
 
 
 def _fast_report(ok: bool = True) -> CertificationReport:
@@ -283,3 +286,138 @@ class TestSeal:
         assert certifier.live_transactions == 2
         assert not certifier.observe_commit(source.transaction("T3"))
         assert certifier.report().violation
+
+
+def _metered(source: TransactionSystem):
+    metrics = MetricsRegistry()
+    certifier = OnlineCertifier(
+        certified_base(source), CommutativityRegistry(), metrics=metrics
+    )
+    return certifier, metrics
+
+
+def _stamp_ordered(source: TransactionSystem, label: str, *primitives):
+    """A tree of primitive calls ``(obj, method)``, in program order."""
+    txn = source.transaction(label)
+    return txn, [txn.call(obj, method) for obj, method in primitives]
+
+
+class TestActionCount:
+    """``report.actions`` counts every real action of every observed tree,
+    whichever path certified it (virtual duplicates and roots excluded)."""
+
+    def test_extension_escalated_epoch(self):
+        source = TransactionSystem()
+        certifier = _online(source)
+        assert certifier.observe_commit(_call_cycle(source, "T1"))  # 3
+        assert certifier.escalation_reason == ESCALATE_EXTENSION
+        plain, _ = _stamp_ordered(source, "T2", ("X", "w"), ("Y", "w"))  # 2
+        assert certifier.observe_commit(plain)
+        assert certifier.report().actions == 5
+
+    def test_straggler_escalated_epoch(self):
+        source = TransactionSystem()
+        certifier = _online(source)
+        early, _ = _stamp_ordered(source, "T1", ("X", "w"), ("Y", "w"))
+        late, _ = _stamp_ordered(source, "T2", ("Z", "w"), ("X", "w"))
+        assert certifier.observe_commit(late)
+        assert certifier.observe_commit(early)  # straggles into X: exact
+        assert certifier.escalation_reason == ESCALATE_CONFLICT
+        more, _ = _stamp_ordered(source, "T3", ("Y", "w"))
+        assert certifier.observe_commit(more)
+        assert certifier.report().actions == 5
+
+    def test_screen_refusing_mid_walk(self):
+        # The sibling check refuses at the root, before the walk reaches
+        # any action: the whole tree still counts.
+        source = TransactionSystem()
+        certifier = _online(source)
+        txn = source.transaction("T1")
+        txn.call("X", "w").call("Y", "r")
+        txn.call("Z", "w", parallel=True)
+        assert certifier.observe_commit(txn)
+        assert certifier.escalation_reason == ESCALATE_UNORDERED_SIBLINGS
+        assert certifier.report().actions == 3
+
+    def test_offline_certification_counts_the_history(self):
+        result = _long_cell(seed=1)
+        report = certify_history(result, strict_cross_object=True)
+        real = sum(
+            1
+            for txn in result.db.system.tops
+            if txn.label in result.committed_labels
+            for action in txn.actions()
+            if action.parent is not None and not action.virtual
+        )
+        assert report.actions == real > 0
+
+
+class TestEscalationMetric:
+    """``certify_escalations_total{reason=…}``: one count per escalated
+    epoch, under the reason of its first escalation."""
+
+    def _counts(self, metrics) -> dict:
+        family = metrics.get("certify_escalations_total")
+        return {
+            labels["reason"]: value
+            for _, labels, value in family.samples()
+            if value
+        }
+
+    def test_extension(self):
+        source = TransactionSystem()
+        certifier, metrics = _metered(source)
+        certifier.observe_commit(_call_cycle(source, "T1"))
+        assert self._counts(metrics) == {ESCALATE_EXTENSION: 1}
+
+    def test_unordered_siblings(self):
+        source = TransactionSystem()
+        certifier, metrics = _metered(source)
+        txn = source.transaction("T1")
+        txn.call("X", "w")
+        txn.call("Y", "w", parallel=True)
+        certifier.observe_commit(txn)
+        assert self._counts(metrics) == {ESCALATE_UNORDERED_SIBLINGS: 1}
+
+    def test_nonmonotone_seq(self):
+        source = TransactionSystem()
+        certifier, metrics = _metered(source)
+        txn, (first, second) = _stamp_ordered(
+            source, "T1", ("X", "a"), ("X", "b")
+        )
+        source.order_primitives([second, first])
+        certifier.observe_commit(txn)
+        assert self._counts(metrics) == {ESCALATE_NONMONOTONE: 1}
+
+    def test_straggler_window(self):
+        source = TransactionSystem()
+        certifier, metrics = _metered(source)
+        early, _ = _stamp_ordered(source, "T1", ("X", "r"))
+        wide, _ = _stamp_ordered(
+            source, "T2", *[("X", "r")] * (STRAGGLER_SCAN_LIMIT + 1)
+        )
+        certifier.observe_commit(wide)
+        certifier.observe_commit(early)
+        assert self._counts(metrics) == {ESCALATE_WINDOW: 1}
+
+    def test_conflicting_straggler(self):
+        source = TransactionSystem()
+        certifier, metrics = _metered(source)
+        early, _ = _stamp_ordered(source, "T1", ("X", "w"))
+        late, _ = _stamp_ordered(source, "T2", ("X", "w"))
+        certifier.observe_commit(late)
+        certifier.observe_commit(early)
+        assert self._counts(metrics) == {ESCALATE_CONFLICT: 1}
+
+    def test_once_per_escalated_epoch(self):
+        source = TransactionSystem()
+        certifier, metrics = _metered(source)
+        for label in ("T1", "T2"):  # one epoch, escalated once
+            certifier.observe_commit(_call_cycle(source, label))
+        certifier.seal()
+        certifier.observe_commit(_call_cycle(source, "T3"))
+        certifier.seal()
+        plain, _ = _stamp_ordered(source, "T4", ("X", "w"))
+        certifier.observe_commit(plain)  # a fast epoch counts nothing
+        assert self._counts(metrics) == {ESCALATE_EXTENSION: 2}
+        assert certifier.report().escalated_epochs == 2

@@ -18,10 +18,19 @@ protocol:
    analysis of that prefix's projection gives.
 """
 
+import random
+
 import pytest
 
+from repro.core.commutativity import (
+    CommutativityRegistry,
+    MatrixCommutativity,
+    ReadWriteCommutativity,
+)
 from repro.core.dependency import IncrementalDependencyEngine
+from repro.core.identifiers import is_virtual
 from repro.core.serializability import analyze_system
+from repro.core.transactions import TransactionSystem
 from repro.errors import ReproError
 from repro.fuzz.driver import FUZZ_PROTOCOLS, execute_cell
 from repro.fuzz.generator import generate
@@ -190,3 +199,101 @@ def test_prefix_appends_agree_with_batch(protocol):
                 seed,
                 sorted(prefix),
             )
+
+
+# -- hand-built trees: the branches executed histories never reach ----------
+#
+# Executed trees never carry real unordered siblings, so on fuzz traffic
+# the engine's "same tree, not program-ordered, may conflict" branch only
+# ever sees Definition 5 virtual duplicates.  These trees put
+# ``parallel=True`` siblings that conflict on one object (primitive and
+# non-primitive members, lifting to distinct callers) next to a self-call
+# cycle that forces the extension, and vary the primitives' execution
+# order so both verdicts occur.
+
+
+def _hand_registry():
+    registry = CommutativityRegistry()  # unknown objects: everything conflicts
+    registry.register("X", ReadWriteCommutativity())
+    registry.register("M", MatrixCommutativity({("inc", "inc"): True}))
+    return registry
+
+
+def _hand_built(order_seed):
+    """Three trees with conflicting unordered siblings and a call cycle."""
+    system = TransactionSystem()
+    t1 = system.transaction("T1")
+    left = t1.call("M", "inc")
+    right = t1.call("M", "set", parallel=True)  # unordered with ``left``
+    left.call("X", "write")
+    right.call("X", "write")
+    right.call("X", "read")
+    scan = t1.call("X", "scan", parallel=True)  # non-primitive sibling on X
+    scan.call("P", "read")
+    t1.call("X", "write", parallel=True)
+
+    t2 = system.transaction("T2")
+    t2.call("M", "inc").call("X", "read")
+    t2.call("X", "write", parallel=True)
+    outer = t2.call("O", "a")
+    outer.call("P", "b").call("O", "c")  # O.a reaches O.c through P
+    outer.call("O", "d", parallel=True)
+
+    t3 = system.transaction("T3")
+    t3.call("O", "a").call("X", "write")
+    t3.call("M", "set", parallel=True).call("P", "write")
+
+    # Even seeds run the trees one after another (each in program order),
+    # odd seeds interleave every primitive at random.
+    rng = random.Random(order_seed)
+    trees = system.tops
+    rng.shuffle(trees)
+    primitives = [a for t in trees for a in t.actions() if a.is_primitive]
+    if order_seed % 2:
+        rng.shuffle(primitives)
+    system.order_primitives(primitives)
+    return system
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_hand_built_unordered_siblings_identity(strict):
+    verdicts = set()
+    for order_seed in range(12):
+        outputs = [
+            analyze(
+                _hand_built(order_seed),
+                _hand_registry(),
+                propagate_cross_object=strict,
+            )
+            for analyze in (reference_analyze_system, analyze_system)
+        ]
+        _assert_identical(*outputs)
+        verdict, schedules = outputs[1]
+        verdicts.add(verdict.oo_serializable)
+        # the trees do reach the branch: a same-tree Axiom 1 edge between
+        # real (not virtual) actions, and the extension's virtual object
+        assert any(
+            src.top == dst.top
+            and not (src.virtual or dst.virtual)
+            and sched.explain("action", src, dst).startswith("Axiom 1")
+            for sched in schedules.values()
+            for src, dst in sched.action_dep.iter_edges()
+        )
+        assert any(is_virtual(oid) for oid in schedules)
+    assert verdicts == {True, False}
+
+
+def test_hand_built_appends_agree_with_reference():
+    """The certifier's shape on the same trees: one tree at a time, each
+    re-stamped and extended as it arrives, then the reference's verdict."""
+    for order_seed in range(12):
+        system = _hand_built(order_seed)
+        engine = IncrementalDependencyEngine(
+            TransactionSystem(), _hand_registry(), track_cycles=True
+        )
+        for txn in system.tops:
+            engine.append_transaction(txn)
+        verdict, _ = reference_analyze_system(
+            _hand_built(order_seed), _hand_registry()
+        )
+        assert engine.violated == (not verdict.oo_serializable), order_seed

@@ -413,6 +413,54 @@ class TestBoundedAudit:
         assert svc.certify().gave_up == expected
 
 
+@pytest.fixture(scope="module")
+def decisions_run():
+    """The long run again, counting every commutativity decision the
+    certifier asks its object specifications for: the fast path's straggler
+    screen and the exact engine's pair kernel, which decides a pair from
+    the specification without going through ``in_conflict``."""
+    svc = TransactionService(
+        ServiceConfig(protocol="open-nested-oo", seed=7, batch_max=WAVE)
+    )
+    certifier = svc._certifier
+    registry = certifier.commutativity
+    decisions = [0]
+    #: (specification decisions, commits observed) as of each seal
+    marks = [(0, 0)]
+    for_object, seal = registry.for_object, certifier.seal
+
+    class Counted:
+        def __init__(self, spec):
+            self.spec = spec
+
+        def commutes(self, first, second):
+            decisions[0] += 1
+            return self.spec.commutes(first, second)
+
+    def marked():
+        seal()
+        marks.append((decisions[0], certifier.committed))
+
+    registry.for_object = lambda oid: Counted(for_object(oid))
+    certifier.seal = marked
+    with svc:
+        _waves(svc, random.Random("flat"), waves=BATCHES)
+    return marks
+
+
+def test_specification_decisions_per_commit_are_flat(decisions_run):
+    marks = decisions_run
+    assert len(marks) > BATCHES
+
+    def per_commit(first, last):
+        (decided0, commits0), (decided1, commits1) = marks[first], marks[last]
+        return (decided1 - decided0) / (commits1 - commits0)
+
+    early = per_commit(0, 25)
+    assert early > 0
+    assert per_commit(100, 125) <= 1.1 * early
+
+
 class TestWeightedQuota:
     def test_weight_roundtrips_through_wire_dicts(self):
         quota = TenantQuota(max_inflight=2, weight=2.5)
