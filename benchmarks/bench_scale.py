@@ -3,14 +3,13 @@
 Three measurements, one machine-readable artifact:
 
 1. **Shard sweep** — the same grouped workload specs run on the sharded
-   multiprocessing runtime at 1, 2 and 4 shards, with committed
-   transactions per wall-clock second as the throughput metric.  The
-   cross-shard 2PC/acyclicity path is genuinely exercised: every
-   multi-shard point must coordinate (and commit) at least one
-   distributed transaction.  The >=1.7x claim at 4 shards is only
-   asserted on machines with >=4 CPUs; the measured speedup is recorded
-   either way (a 1-CPU container timeshares the shard processes, so its
-   ratio measures scheduling, not scaling).
+   runtime at 1, 2 and 4 shards, with committed transactions per
+   wall-clock second as the throughput metric.  The cross-shard
+   2PC/acyclicity path is genuinely exercised: every multi-shard point
+   must coordinate (and commit) at least one distributed transaction.
+   The shards' epochs run one after another in this process, so the
+   recorded speedup measures what sharding costs (split, barrier, 2PC),
+   not multi-core scaling; it is not gated.
 2. **Cross-shard fuzz cells** — a smoke campaign at 2 shards across all
    protocols, asserted free of oracle violations and simulator errors
    (the composed per-shard Def 10–14 + global Def 15/16 verdict).
@@ -40,10 +39,9 @@ from repro.fuzz.generator import GeneratorProfile, generate
 from repro.fuzz.parallel import available_cpus
 from repro.shard import run_sharded_cell, single_core_text
 
-#: enough sequential work that the per-shard split dominates process
-#: startup, and a cross-group rate low enough that lock-holding voters
-#: rarely deadlock across shards (those aborts would measure the victim
-#: picker, not the runtime).
+#: enough sequential work per shard, and a cross-group rate low enough
+#: that lock-holding voters rarely deadlock across shards (those aborts
+#: would measure the victim picker, not the runtime).
 SCALE_PROFILE = GeneratorProfile(
     n_objects=6, n_programs=24, ops_per_program=5, key_space=12,
 ).grouped(4, 0.06)
@@ -72,9 +70,7 @@ def _sweep_section() -> dict:
         rounds = 0
         start = time.perf_counter()
         for spec in specs:
-            result = run_sharded_cell(
-                spec, SCALE_PROTOCOL, n_shards, mp=True
-            )
+            result = run_sharded_cell(spec, SCALE_PROTOCOL, n_shards)
             assert result.ok, (
                 f"oracle violation at {n_shards} shards: "
                 f"{result.report.description}"
@@ -228,9 +224,3 @@ def test_scale_trajectory(benchmark):
     assert entry["identity"]["identical"]
     assert points[2]["multi_commits"] > 0
     assert points[4]["multi_commits"] > 0
-    # the throughput claim needs real cores behind the shard processes
-    if entry["cpus"] >= 4:
-        assert points[4]["speedup"] >= 1.7, (
-            "4 shards should deliver >=1.7x committed throughput over 1 "
-            f"on a >=4-core machine, got x{points[4]['speedup']}"
-        )

@@ -1291,11 +1291,6 @@ def _build_shard_parser(subparsers) -> None:
         "(diff against a --shards 1 run for the byte-identity check)",
     )
     parser.add_argument(
-        "--mp", action="store_true",
-        help="fan shards out to real worker processes instead of the "
-        "deterministic in-process epoch driver",
-    )
-    parser.add_argument(
         "--data-dir", default=None, metavar="DIR",
         help="write per-shard WAL segments + the coordinator decide log "
         "under DIR (resolve after a crash with --recover)",
@@ -1346,7 +1341,6 @@ def cmd_shard(args) -> int:
         spec,
         args.protocol,
         args.shards,
-        mp=args.mp,
         data_dir=args.data_dir,
         collect_events=True,
     )

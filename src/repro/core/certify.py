@@ -297,8 +297,7 @@ class OnlineCertifier:
 
         Returns True while the history so far is certified
         oo-serializable; the first False is final (violations are monotone
-        — later commits cannot undo a closed cycle), matching
-        ``run_per_transaction``, which stops at the first violation.
+        — later commits cannot undo a closed cycle).
         """
         if self.violated:
             return False

@@ -67,7 +67,6 @@ from repro.core.graph import OnlineTopology
 from repro.core.identifiers import SYSTEM_OBJECT, ObjectId
 from repro.core.schedule import ObjectSchedule, call_path, path_order
 from repro.core.transactions import OOTransaction, TransactionSystem
-from repro.errors import ReproError
 
 
 def linearize_effects(
@@ -150,9 +149,9 @@ class IncrementalDependencyEngine:
     The engine is also *appendable*: :meth:`append_transaction` integrates
     one more executed transaction into an existing analysis — re-stamping
     and extending only the new tree, bootstrapping only pairs with a new
-    member — which is how the optimistic certifier validates each commit
-    against the already-analyzed committed prefix instead of re-analyzing
-    from empty.
+    member — which is how :class:`~repro.core.certify.OnlineCertifier`
+    (the audit and the optimistic protocol's validator) extends an epoch's
+    analysis instead of re-analyzing from empty.
 
     With ``track_cycles=True`` every relation feeds an
     :class:`~repro.core.graph.OnlineTopology` watcher (per-object
@@ -175,7 +174,6 @@ class IncrementalDependencyEngine:
         track_cycles: bool = False,
         linearize: bool = True,
         extend: bool = True,
-        metrics=None,
     ):
         self.system = system
         self.commutativity = commutativity
@@ -183,24 +181,6 @@ class IncrementalDependencyEngine:
         self.track_cycles = track_cycles
         self.linearize = linearize
         self.extend = extend
-        # Optional observability (a repro.obs.metrics.MetricsRegistry):
-        # callers that own a registry — the optimistic certifier, the CLI —
-        # see how much dependency work their analyses actually did.
-        if metrics is not None:
-            self._m_appends = metrics.counter(
-                "analysis_appends_total",
-                "transactions appended to the incremental analysis",
-            )
-            self._m_edges = metrics.counter(
-                "analysis_edges_total",
-                "dependency edges recorded (action- and txn-level)",
-            )
-            self._m_cross = metrics.counter(
-                "analysis_cross_lifts_total",
-                "cross-object constraints lifted toward a common object",
-            )
-        else:
-            self._m_appends = self._m_edges = self._m_cross = None
         self.schedules: dict[ObjectId, ObjectSchedule] = {}
         self.top_cross_deps: set[tuple[ActionNode, ActionNode]] = set()
         #: set as soon as any watched relation becomes cyclic (track_cycles)
@@ -242,30 +222,6 @@ class IncrementalDependencyEngine:
             self._finalize_added()
         return self.schedules
 
-    def run_per_transaction(self) -> bool:
-        """Integrate the system's transactions one by one, oldest first.
-
-        Re-stamping and extension are applied globally *up front* (exactly
-        the tree mutations a one-shot analysis performs), so the fixpoint
-        reached after the last transaction equals the one-shot fixpoint —
-        but the walk stops at the first transaction whose integration
-        closes a cycle, skipping the whole tail.  Dependency relations only
-        grow with each appended transaction, so an early violation is
-        final.  Returns :attr:`violated`.  Requires ``track_cycles=True``.
-        """
-        if not self.track_cycles:
-            raise ReproError("run_per_transaction requires track_cycles=True")
-        if self.linearize:
-            linearize_effects(self.system)
-        if self.extend:
-            extend_system(self.system)
-        for txn in self.system.tops:
-            if self.violated:
-                break
-            self._integrate_tree(txn)
-            self._drain()
-        return self.violated
-
     def append_transaction(
         self, txn: OOTransaction, *, extras: Iterable[ActionNode] | None = None
     ) -> None:
@@ -283,8 +239,6 @@ class IncrementalDependencyEngine:
         given duplicates are integrated alongside the tree's own actions.
         """
         self.system.adopt(txn)
-        if self._m_appends is not None:
-            self._m_appends.value += 1
         if extras is None:
             if self.linearize:
                 linearize_effects(self.system, tops=[txn])
@@ -434,12 +388,10 @@ class IncrementalDependencyEngine:
         """
         graph = sched.action_dep
         queue = watcher = None
-        observed = 0
         for src, dst, args in edges:
             key = graph.insert_edge(src, dst)
             if key is None:
                 continue
-            observed += 1
             sched.record_reason("action", src, dst, template, *args)
             if conflict is not False:
                 if queue is None:
@@ -453,8 +405,6 @@ class IncrementalDependencyEngine:
                     watcher = self._watch(self._watch_combined, sched.oid)
                 if watcher.add_edge_checked(src, dst):
                     self.violated = True
-        if self._m_edges is not None:
-            self._m_edges.value += observed
 
     def _observe_txn(
         self,
@@ -467,8 +417,6 @@ class IncrementalDependencyEngine:
         key = sched.txn_dep.insert_edge(src, dst)
         if key is None:
             return
-        if self._m_edges is not None:
-            self._m_edges.value += 1
         sched.record_reason("txn", src, dst, template, *args)
         self._pending_txn.setdefault(sched.oid, []).append((key, src, dst))
         if self.track_cycles:
@@ -585,8 +533,6 @@ class IncrementalDependencyEngine:
         including commutativity — takes over) or both are top-level roots
         (then it is a top-level ordering constraint).
         """
-        if self._m_cross is not None:
-            self._m_cross.value += 1
         pair: tuple[ActionNode, ActionNode] | None = (src, dst)
         while pair is not None:
             left, right = pair

@@ -254,14 +254,3 @@ def conventional_constraints(
     """The ordering constraints the conventional criterion imposes."""
     return set(conventional_serialization_graph(system, read_methods).iter_edges())
 
-
-def registry_with_conventional_semantics() -> CommutativityRegistry:
-    """A registry under which oo-serializability degenerates to the
-    conventional criterion: everything conflicts except read/read pairs.
-
-    Used by ablation bench A1 to show that the gain of oo-serializability
-    comes entirely from the semantic commutativity specifications.
-    """
-    from repro.core.commutativity import ReadWriteCommutativity
-
-    return CommutativityRegistry(default=ReadWriteCommutativity())

@@ -42,11 +42,6 @@ class OOTransaction:
         """All actions of the transaction, including the root itself."""
         return self.root.iter_subtree()
 
-    def primitive_actions(self) -> Iterator[ActionNode]:
-        for action in self.actions():
-            if action.is_primitive:
-                yield action
-
     def __str__(self) -> str:
         return self.label
 

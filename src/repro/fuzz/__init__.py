@@ -33,7 +33,6 @@ from repro.fuzz.oracle import (
     Ablation,
     OracleReport,
     check_history,
-    judge_violation,
     strictness_for,
 )
 from repro.fuzz.shrink import counterexample_dict, shrink, still_fails
@@ -51,7 +50,6 @@ __all__ = [
     "execute_cell",
     "generate",
     "host_workload",
-    "judge_violation",
     "run_campaign",
     "run_cell",
     "shrink",

@@ -193,10 +193,6 @@ class ObjectSpec:
                 return plan
         raise KeyError(name)
 
-    @property
-    def update_methods(self) -> list[str]:
-        return [m.name for m in self.methods if m.update]
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

@@ -144,38 +144,6 @@ class OracleReport:
         return not self.oo_serializable
 
 
-def judge_violation(
-    result: "ExecutionResult",
-    ablation: Ablation | None = None,
-    *,
-    strict_cross_object: bool = True,
-) -> bool:
-    """``check_history(...).violation``, computed the fast way.
-
-    The shrinker evaluates hundreds of candidate edits and only consumes
-    the boolean, so the full report — conventional baseline, constraint
-    counts, verdict prose — is wasted work.  This path feeds the committed
-    projection through the incremental engine transaction by transaction
-    with online cycle watchers: re-stamping and extension happen globally
-    up front (so the fixpoint is the one-shot fixpoint), each appended
-    transaction reuses the analysis of the prefix before it, and the walk
-    stops at the first transaction that closes a cycle.  The boolean is
-    pinned equal to ``check_history``'s by the differential suite.
-    """
-    from repro.core.dependency import IncrementalDependencyEngine
-
-    projection, registry = committed_history(
-        result.db, result.committed_labels, ablation
-    )
-    engine = IncrementalDependencyEngine(
-        projection,
-        registry,
-        propagate_cross_object=strict_cross_object,
-        track_cycles=True,
-    )
-    return engine.run_per_transaction()
-
-
 def check_history(
     result: "ExecutionResult",
     ablation: Ablation | None = None,

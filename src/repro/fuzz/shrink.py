@@ -20,10 +20,11 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
+from repro.core.certify import certify_history
 from repro.errors import ReproError
 from repro.fuzz.driver import execute_cell
 from repro.fuzz.generator import WorkloadSpec
-from repro.fuzz.oracle import Ablation, judge_violation, strictness_for
+from repro.fuzz.oracle import Ablation, strictness_for
 
 #: counterexample file format version (pinned by the regression tests)
 COUNTEREXAMPLE_VERSION = 1
@@ -65,19 +66,21 @@ def still_fails(
 ) -> bool:
     """Does the candidate spec still reproduce the oracle violation?
 
-    The candidate history is judged by the boolean fast path
-    (:func:`~repro.fuzz.oracle.judge_violation`): the committed prefix's
-    analysis is reused across the per-transaction walk and the first cycle
-    short-circuits, instead of rebuilding the full fixpoint plus a report
-    the shrinker would throw away.
+    The candidate history is judged by the certifier
+    (:func:`~repro.core.certify.certify_history`) without the canonical
+    report: commits are fed in order, the fast path takes what it can, and
+    the first cycle short-circuits — the shrinker only needs the boolean.
     """
     if not spec.programs:
         return False
     try:
         result = execute_cell(spec, protocol, exec_seed=exec_seed)
-        return judge_violation(
-            result, ablation, strict_cross_object=strictness_for(protocol)
-        )
+        return certify_history(
+            result,
+            ablation,
+            strict_cross_object=strictness_for(protocol),
+            with_oracle=False,
+        ).violation
     except ReproError:
         # A candidate that crashes the simulator is not the failure we are
         # chasing; reject the edit.

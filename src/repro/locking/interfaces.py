@@ -21,7 +21,7 @@ executor), so the same protocol code runs under any driver.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.core.actions import ActionNode, Invocation
 from repro.obs.events import EventBus
@@ -158,6 +158,13 @@ class Scheduler:
         """Release every lock held on behalf of this action node (used when
         a subtransaction aborts and is erased)."""
 
+    def seal(self) -> None:
+        """The executor drained its run: a quiescent point (DESIGN §6.15).
+
+        Nothing is in flight and every later stamp exceeds every stamp
+        drawn so far; a scheduler holding per-epoch state may drop it.
+        """
+
     # -- introspection ---------------------------------------------------------
 
     def describe(self) -> str:
@@ -174,12 +181,3 @@ class NoConcurrencyControl(Scheduler):
 
     name = "none"
 
-
-def invocation_key(invocation: Invocation) -> tuple[str, str, tuple]:
-    """Hashable identity of an invocation (for lock-table bookkeeping)."""
-    args: Any = invocation.args
-    try:
-        hash(args)
-    except TypeError:
-        args = repr(args)
-    return (invocation.obj, invocation.method, args)

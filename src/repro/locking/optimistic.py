@@ -20,6 +20,16 @@ implemented here:
 
 Pages keep the usual short read/write locks for burst atomicity.
 
+The validator is the one incremental judge,
+:class:`~repro.core.certify.OnlineCertifier`: each candidate is fed to the
+judge of the current epoch (fast path first, the exact engine once it
+escalates), so a validation costs the candidate's own tree, not the
+history.  A failed candidate — or a validated one that aborts anyway —
+drops the judge; the next validation rebuilds it from the epoch's
+committed trees.  The executor's drain is the quiescent point
+(:meth:`seal`, DESIGN §6.15): the epoch ends there, so a service run holds
+at most one batch of trees and a fuzz cell stays one epoch.
+
 Trade-off measured in bench C6: readers never block writers and vice
 versa, at the price of commit-time aborts when a read turns out to have
 observed an inconsistent snapshot.
@@ -28,6 +38,9 @@ observed an inconsistent snapshot.
 from __future__ import annotations
 
 from repro.core.actions import ActionNode, Invocation
+from repro.core.certify import OnlineCertifier, certified_base
+from repro.core.identifiers import ObjectId, is_virtual
+from repro.core.transactions import OOTransaction
 from repro.errors import TransactionAborted, UnknownMethodError
 from repro.locking.lock_table import LockingScheduler
 from repro.oodb.context import TransactionContext
@@ -46,17 +59,21 @@ class OptimisticCertifier(LockingScheduler):
         self._n_validation_failures = self._stat_counters[
             "validation_failures"
         ]
-        #: how often a failed/aborted candidate discarded the cached
-        #: incremental certification fixpoint (forcing a rebuild)
+        #: how often a failed/aborted candidate dropped the judge
         self._n_cache_resets = self._stat(
             "certification_cache_resets",
-            "incremental-certification caches discarded",
+            "validation judges dropped by a failed or aborted candidate",
         )
-        #: cached incremental analysis of the committed projection; each
-        #: validation *extends* it with the candidate instead of re-running
-        #: Definitions 10-16 from empty
-        self._engine = None
-        #: candidate appended to the cached engine but not yet committed
+        #: the current epoch's judge; ``_dropped`` once it holds edges of
+        #: a candidate that will never commit (the next validation
+        #: replaces it)
+        self._judge: OnlineCertifier | None = None
+        self._dropped = False
+        #: trees committed since the last seal: what a new judge refeeds
+        self._epoch: list[OOTransaction] = []
+        #: Definition 5 virtual objects replaced judges declared this epoch
+        self._virtual: set[ObjectId] = set()
+        #: candidate fed to the judge but not yet committed
         self._pending_label: str | None = None
 
     # -- locking knobs ---------------------------------------------------------
@@ -109,46 +126,59 @@ class OptimisticCertifier(LockingScheduler):
                 raise TransactionAborted(ctx.txn_id, "validation failed")
 
     def _validate(self, ctx) -> bool:
-        """Extend the cached committed-prefix analysis with the candidate.
+        """Feed the candidate to the epoch's judge.
 
-        The engine holds the Definition 10/11/15 fixpoint of everything
-        committed so far, with every relation under an online cycle watcher;
-        validating a commit costs only the candidate's own dependency
-        deltas.  The engine mutates the same shared call trees the one-shot
-        analysis would (re-stamping, Definition 5 extension), so decisions
-        match a from-scratch analysis of committed ∪ {candidate} exactly.
-        A failed candidate's edges cannot be retracted from the fixpoint, so
-        failure discards the cache — the next validation rebuilds from the
-        (valid) committed prefix.
+        The judge mutates the shared call trees exactly as a from-scratch
+        analysis would (re-stamping, Definition 5 extension), so its
+        decisions match one of committed ∪ {candidate}.  A candidate's
+        edges cannot be retracted, so a failed one drops the judge.
         """
-        from repro.core.dependency import IncrementalDependencyEngine
-        from repro.oodb.trace import committed_projection
-
         registry = self.db.commutativity_registry()
-        if self._engine is None:
-            projection = committed_projection(
-                self.db.system, set(self._committed)
-            )
-            self._engine = IncrementalDependencyEngine(
-                projection, registry, track_cycles=True, metrics=self.metrics
-            )
-            self._engine.run()
-        else:
-            # Objects created since the cache was built carry their own
-            # specifications; the db-side cache makes this refresh cheap.
-            self._engine.commutativity = registry
-        self._engine.append_transaction(ctx.txn)
-        if self._engine.violated:
-            self._engine = None
-            self._pending_label = None
-            self._n_cache_resets.value += 1
-            return False
-        self._pending_label = ctx.txn_id
-        return True
+        judge = self._judge
+        if (
+            judge is None
+            or self._dropped
+            or judge.commutativity is not registry
+        ):
+            # First validation of the epoch, a dropped judge, or a created
+            # object (its specification joins a new registry): refeed the
+            # epoch's committed trees to a new judge.  The virtual objects
+            # the old one declared stay declared — a from-scratch analysis
+            # sees them on the trees they moved (the aborted candidates'
+            # included), so the extension must not mint their names again.
+            if judge is not None:
+                self._virtual.update(
+                    oid for oid in judge.system.objects if is_virtual(oid)
+                )
+            system = certified_base(self.db.system)
+            for oid in self._virtual:
+                system.declare_object(oid)
+            judge = self._judge = OnlineCertifier(system, registry)
+            self._dropped = False
+            for txn in self._epoch:
+                judge.observe_commit(txn)
+        if judge.observe_commit(ctx.txn):
+            self._pending_label = ctx.txn_id
+            return True
+        self._dropped = True
+        self._pending_label = None
+        self._n_cache_resets.value += 1
+        return False
+
+    def seal(self) -> None:
+        """The executor drained: end the epoch (DESIGN §6.15)."""
+        if self._dropped:
+            self._judge = None
+        elif self._judge is not None:
+            self._judge.seal()
+        self._dropped = False
+        self._epoch.clear()
+        self._virtual.clear()
 
     def commit(self, ctx) -> None:
         if self.db is not None and not ctx.runtime_data.get("compensating"):
             self._committed.append(ctx.txn_id)
+            self._epoch.append(ctx.txn)
             if self._pending_label == ctx.txn_id:
                 self._pending_label = None  # candidate is now prefix
         super().commit(ctx)
@@ -156,9 +186,9 @@ class OptimisticCertifier(LockingScheduler):
     def abort(self, ctx) -> None:
         if self._pending_label is not None and self._pending_label == ctx.txn_id:
             # The candidate passed validation but aborts anyway (e.g. a
-            # fault between prepare and commit): the cached fixpoint now
-            # contains a transaction that will never commit.  Drop it.
-            self._engine = None
+            # fault between prepare and commit): the judge now holds a
+            # transaction that will never commit.  Drop it.
+            self._dropped = True
             self._pending_label = None
             self._n_cache_resets.value += 1
         super().abort(ctx)

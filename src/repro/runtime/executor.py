@@ -364,8 +364,13 @@ class InterleavedExecutor:
         return _Worker(self, program)
 
     def finish(self) -> ExecutionResult:
-        """Join the workers and assemble the aggregate result."""
-        self._join_workers()
+        """Join the workers, seal the scheduler, assemble the result.
+
+        A drained run is a quiescent point unless a worker hung (it may
+        still be mid-transaction), so only then is the scheduler sealed.
+        """
+        if not self._join_workers():
+            self.db.scheduler.seal()
         metrics = self.db.metrics
         metrics.counter(
             "executor_slices_total", "execution slices the schedule handed out"

@@ -112,9 +112,6 @@ class SplitWorkload:
     #: the coordinator's expected-vote table
     multi: dict[str, tuple[int, ...]]
 
-    def branch_labels(self, shard: int) -> set[str]:
-        return {p.label for p in self.branches.get(shard, [])}
-
 
 def split_ops(ops: list, shard_map: ShardMap) -> dict[int, list]:
     """Cut one op list into per-shard sublists, preserving per-shard order.

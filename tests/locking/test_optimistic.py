@@ -135,7 +135,7 @@ def test_page_level_integrity_still_enforced():
 
 
 def test_cached_validation_makes_no_pass_over_the_trace(monkeypatch):
-    """Once the cache is warm, validating a commit extends it with the
+    """Once the judge is warm, validating a commit extends it with the
     context's own tree: no copy or scan of every tree the database ran."""
     db = ObjectDatabase(scheduler=OptimisticCertifier())
     reg = db.create(Register)
@@ -143,7 +143,7 @@ def test_cached_validation_makes_no_pass_over_the_trace(monkeypatch):
         ctx = db.begin(label)
         db.send(ctx, reg, "set", value)
         db.commit(ctx)
-    assert db.scheduler._engine is not None  # the cache is warm
+    assert db.scheduler._judge is not None  # the judge is warm
 
     def no_scan(system):
         raise AssertionError("validation read TransactionSystem.tops")

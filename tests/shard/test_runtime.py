@@ -1,5 +1,5 @@
 """The sharded runtime end to end: byte identity at one shard, merged-trace
-determinism, in-process vs multiprocess parity, composed-oracle verdicts."""
+determinism, composed-oracle verdicts."""
 
 import pytest
 
@@ -35,15 +35,6 @@ class TestDeterminism:
             for _ in range(3)
         }
         assert len(texts) == 1
-
-    def test_in_process_and_multiprocess_agree(self):
-        spec = generate(7, GROUPED)
-        in_proc = run_sharded_cell(spec, "page-2pl", 2, collect_events=True)
-        multi_proc = run_sharded_cell(
-            spec, "page-2pl", 2, mp=True, collect_events=True
-        )
-        assert in_proc.canonical_text() == multi_proc.canonical_text()
-        assert in_proc.decisions == multi_proc.decisions
 
     def test_merged_events_are_tick_ordered(self):
         spec = generate(7, GROUPED)
