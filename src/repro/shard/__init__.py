@@ -8,9 +8,9 @@ added-action relation and aborts any prepare that would close a Def 16
 cycle (:mod:`repro.shard.coordinator`).  The engine is one copy deep:
 the shard-side executor in :mod:`repro.shard.executor`; the shard unit, the
 barrier loop, the Def 16 composition and the service's ``ShardGroup`` in
-:mod:`repro.shard.service`; the fuzz-cell drivers — deterministic
-in-process epochs and a real multiprocessing fan-out — and the canonical
-cell report in :mod:`repro.shard.runtime`; presumed-abort segment recovery
+:mod:`repro.shard.service`; the fuzz-cell driver (deterministic
+in-process epochs) and the canonical cell report in
+:mod:`repro.shard.runtime`; presumed-abort segment recovery
 in :mod:`repro.shard.recovery`.
 """
 

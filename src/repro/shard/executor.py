@@ -10,6 +10,7 @@ why a 1-shard run is byte-identical to ``execute_cell``.
 
 from __future__ import annotations
 
+from repro.errors import RunAbandoned
 from repro.runtime.executor import _BLOCKED, InterleavedExecutor, _Worker
 from repro.runtime.program import base_label
 from repro.shard.coordinator import ABORT, COMMIT
@@ -95,7 +96,13 @@ class ShardExecutor(InterleavedExecutor):
             verdict = self.decisions.get(base)
             if verdict is not None:
                 return verdict
-            self.wait_for(ctx, f"2pc:{base}")
+            try:
+                self.wait_for(ctx, f"2pc:{base}")
+            except RunAbandoned:
+                # The run failed, but a branch the coordinator committed
+                # must commit: its sibling branches on the other shards do.
+                if self.decisions.get(base) != COMMIT:
+                    raise
 
     def apply_decisions(self, decisions: dict[str, str]) -> None:
         """Adopt a round of verdicts and wake the parked branches.
