@@ -46,6 +46,19 @@ for their own deltas.  With ``track_cycles=True`` every relation is watched
 by an online topological order (:class:`repro.core.graph.OnlineTopology`),
 so the first contradiction is reported at the insertion that closes it.
 
+The boolean engine also skips the ``<·`` of a *primitive-only* object —
+one whose every action calls nothing, such as a page, or a virtual object
+holding only duplicates.  Definition 10 is all such an object contributes:
+for each ordered pair of distinct callers the engine decides the actions'
+pairs only until one conflict orders the callers that way, and observes
+that one edge ``m ↝ m′``.  The object is *materialized* — every pair
+decided by the ordinary pair kernel, as it would have been at
+integration — before a method action joins it, before the program orders
+one of its same-tree pairs against their stamps, and before a Definition
+11, closure or Definition 15 edge reaches it.  DESIGN §6, decision 16,
+argues that verdicts are unchanged; one-shot analyses never take this
+path.
+
 Edge order is part of the output: cycle witnesses, ``describe`` tables and
 the pinned campaign reports all read relations in insertion order.  For
 one-shot analyses the worklist is therefore drained in *stratified* rounds
@@ -160,9 +173,14 @@ class IncrementalDependencyEngine:
     recording happens eagerly, and
     :attr:`violated` flips at the exact insertion that closes the first
     cycle — the boolean consumers (certifier, fuzz oracle fast path) stop
-    there.  Without it, added dependencies are recorded in one pass over
-    the finished relations (:meth:`_finalize_added`), which keeps their
-    insertion order, and with it combined-graph cycle witnesses, stable.
+    there.  Such an engine keeps a primitive-only object *lean*: it lifts
+    conflicts straight to distinct caller pairs
+    (:meth:`_lift_caller_pairs`) and records no ``<·`` for the object
+    until something needs it (:meth:`_materialize`; module docstring).
+    Without ``track_cycles``, added dependencies are recorded in one pass
+    over the finished relations (:meth:`_finalize_added`), which keeps
+    their insertion order, and with it combined-graph cycle witnesses,
+    stable.
     """
 
     def __init__(
@@ -188,6 +206,8 @@ class IncrementalDependencyEngine:
         self._seen_actions: set[int] = set()
         self._seen_callers: dict[ObjectId, set[int]] = {}
         self._cross_seen: set[tuple[int, int]] = set()
+        #: primitive-only objects integrated per caller pair, no ``<·`` yet
+        self._lean: set[ObjectId] = set()
         #: per-object queues of (relation-order key, src, dst[, conflict])
         self._pending_action: dict[ObjectId, list] = {}
         self._pending_txn: dict[ObjectId, list] = {}
@@ -271,9 +291,16 @@ class IncrementalDependencyEngine:
                 continue
             seen.add(id(action))
             fresh.setdefault(action.obj, []).append(action)
-        for oid in sorted(fresh):
+        # Every schedule exists before any object is integrated, as in
+        # ``run``: a lean object lifts during its integration, and
+        # Definition 15 must find the caller objects — also those this
+        # tree feeds for the first time — to record on.
+        objects = sorted(fresh)
+        for oid in objects:
+            self._schedule_for(oid)
+        for oid in objects:
             new_actions = sorted(fresh[oid], key=lambda a: (a.seq, a.aid))
-            self._integrate_object(self._schedule_for(oid), new_actions)
+            self._integrate_object(self.schedules[oid], new_actions)
 
     def _integrate_object(
         self, sched: ObjectSchedule, new_actions: list[ActionNode]
@@ -282,16 +309,18 @@ class IncrementalDependencyEngine:
 
         When the schedule is empty this is the whole per-object setup
         (nodes, Axiom 1, Definition 7) in seq order; on later appends only
-        pairs with a new member are examined.
+        pairs with a new member are examined.  The boolean engine keeps a
+        primitive-only object lean (:meth:`_lift_caller_pairs`) until a
+        non-primitive action joins it or the program orders a same-tree
+        pair against its stamps; then it is materialized first.
         """
         if not new_actions:
             return
         new_ids = {id(a) for a in new_actions}
         self._seen_actions.update(new_ids)
-        if sched.actions:
-            merged = sorted(
-                sched.actions + new_actions, key=lambda a: (a.seq, a.aid)
-            )
+        old = sched.actions
+        if old:
+            merged = sorted(old + new_actions, key=lambda a: (a.seq, a.aid))
         else:
             merged = list(new_actions)
         sched.actions = merged
@@ -320,28 +349,52 @@ class IncrementalDependencyEngine:
             for caller in new_callers:
                 sched.txn_dep.add_node(caller)
 
-        # One pass decides every pair with a new member: each new action,
-        # in schedule order, against every other action (a pair of two new
-        # actions once, from its earlier member).  Per-action facts are
-        # looked up once per integration.  A same-tree pair is decided by
-        # program order first: an ordered pair is Definition 7's edge and,
-        # being one process, commutes by Definition 9.  Only unordered
-        # pairs with a primitive member reach the specification (Axiom 1).
-        # All Axiom 1 edges are recorded before all Definition 7 edges,
-        # each kind in pair order: relation order is part of the output.
         fresh = [id(a) in new_ids for a in merged]
         paths = [call_path(a) for a in merged]
         primitive = [not a.children for a in merged]
-        invocations: list[Invocation | None] = [None] * len(merged)
+        lean = sched.oid in self._lean
+        if (
+            self.track_cycles
+            and (lean or not old)
+            and all(primitive)
+            and self._lift_caller_pairs(sched, merged, fresh, paths)
+        ):
+            self._lean.add(sched.oid)
+            return
+        if lean:
+            self._materialize(sched, old)
+        self._decide_pairs(sched, merged, fresh, paths, primitive)
+
+    def _decide_pairs(
+        self,
+        sched: ObjectSchedule,
+        actions: list[ActionNode],
+        fresh: list[bool],
+        paths: list[list[ActionNode]],
+        primitive: list[bool],
+    ) -> None:
+        """The pair kernel: Axiom 1 and Definition 7 edges of ``<·``.
+
+        One pass decides every pair with a fresh member: each fresh action,
+        in schedule order, against every other action (a pair of two fresh
+        actions once, from its earlier member).  Per-action facts are
+        looked up once per integration.  A same-tree pair is decided by
+        program order first: an ordered pair is Definition 7's edge and,
+        being one process, commutes by Definition 9.  Only unordered
+        pairs with a primitive member reach the specification (Axiom 1).
+        All Axiom 1 edges are recorded before all Definition 7 edges,
+        each kind in pair order: relation order is part of the output.
+        """
+        invocations: list[Invocation | None] = [None] * len(actions)
         commutes = self.commutativity.for_object(sched.oid).commutes
         bootstrap: list[tuple[ActionNode, ActionNode, tuple]] = []
         program: list[tuple[ActionNode, ActionNode, tuple]] = []
-        for i in range(len(merged)):
+        for i in range(len(actions)):
             if not fresh[i]:
                 continue
             root = paths[i][0]
             outer_primitive = primitive[i]
-            for j in range(len(merged)):
+            for j in range(len(actions)):
                 if j == i or (j < i and fresh[j]):
                     continue
                 first, second = (i, j) if i < j else (j, i)
@@ -350,18 +403,18 @@ class IncrementalDependencyEngine:
                     if order:
                         if order < 0:
                             first, second = second, first
-                        program.append((merged[first], merged[second], ()))
+                        program.append((actions[first], actions[second], ()))
                         continue
                 if not (outer_primitive or primitive[j]):
                     continue
                 left = invocations[first]
                 if left is None:
-                    left = invocations[first] = merged[first].invocation()
+                    left = invocations[first] = actions[first].invocation()
                 right = invocations[second]
                 if right is None:
-                    right = invocations[second] = merged[second].invocation()
+                    right = invocations[second] = actions[second].invocation()
                 if not commutes(left, right):
-                    src, dst = merged[first], merged[second]
+                    src, dst = actions[first], actions[second]
                     bootstrap.append((src, dst, (src.seq, dst.seq)))
 
         self._observe_actions(
@@ -370,6 +423,70 @@ class IncrementalDependencyEngine:
         self._observe_actions(
             sched, program, "Definition 7: program precedence", conflict=False
         )
+
+    def _lift_caller_pairs(
+        self,
+        sched: ObjectSchedule,
+        actions: list[ActionNode],
+        fresh: list[bool],
+        paths: list[list[ActionNode]],
+    ) -> bool:
+        """Definition 10 straight from the pairs of a primitive-only object.
+
+        The boolean engine's path for an object whose every action calls
+        nothing (DESIGN §6, decision 16).  Pairs are visited as by
+        :meth:`_decide_pairs`, but no ``<·`` edge is recorded: a conflict
+        between distinct callers whose edge ``↝`` does not hold yet is
+        lifted at once, and a caller pair already in ``↝`` is not decided
+        again.  Returns False, for the caller to materialize the object, at
+        the first same-tree pair the program orders against its stamps.
+        """
+        invocations: list[Invocation | None] = [None] * len(actions)
+        commutes = self.commutativity.for_object(sched.oid).commutes
+        known = sched.txn_dep.has_edge
+        for i in range(len(actions)):
+            if not fresh[i]:
+                continue
+            root = paths[i][0]
+            for j in range(len(actions)):
+                if j == i or (j < i and fresh[j]):
+                    continue
+                first, second = (i, j) if i < j else (j, i)
+                if paths[j][0] is root:
+                    order = path_order(paths[first], paths[second])
+                    if order < 0:
+                        return False
+                    if order:
+                        continue
+                src, dst = actions[first], actions[second]
+                if src.parent is dst.parent or known(src.parent, dst.parent):
+                    continue
+                left = invocations[first]
+                if left is None:
+                    left = invocations[first] = src.invocation()
+                right = invocations[second]
+                if right is None:
+                    right = invocations[second] = dst.invocation()
+                if not commutes(left, right):
+                    self._lift(sched, src, dst, True)
+        return True
+
+    def _materialize(
+        self, sched: ObjectSchedule, actions: list[ActionNode] | None = None
+    ) -> None:
+        """Give a primitive-only object its ``<·`` (all of it, or ``actions``).
+
+        Every pair is decided as the pair kernel decided it when its later
+        member was integrated — both members primitive then, whatever
+        Definition 5 duplicates hang off them now.  The lifts repeat edges
+        ``↝`` already holds; from here on the object takes the full path.
+        """
+        self._lean.discard(sched.oid)
+        if actions is None:
+            actions = sched.actions
+        every = [True] * len(actions)
+        paths = [call_path(a) for a in actions]
+        self._decide_pairs(sched, actions, every, paths, every)
 
     # -- observation ---------------------------------------------------------
 
@@ -385,7 +502,10 @@ class IncrementalDependencyEngine:
         ``conflict`` is what is already known about every pair: True
         (Axiom 1 found it), False (program ordered — it can never lift, so
         it is not queued) or None (decided when Definition 10 reaches it).
+        A lean object is materialized before anything reaches its ``<·``.
         """
+        if sched.oid in self._lean:
+            self._materialize(sched)
         graph = sched.action_dep
         queue = watcher = None
         for src, dst, args in edges:
@@ -441,6 +561,8 @@ class IncrementalDependencyEngine:
             target = self.schedules.get(endpoint_obj)
             if target is None or target.added_dep.has_edge(src, dst):
                 continue
+            if endpoint_obj in self._lean:
+                self._materialize(target)
             target.added_dep.add_edge(src, dst)
             target.record_reason(
                 "added", src, dst, "Definition 15: recorded from {}", sched.oid

@@ -272,3 +272,184 @@ def test_hand_built_appends_agree_with_reference():
             _hand_built(order_seed), _hand_registry()
         )
         assert engine.violated == (not verdict.oo_serializable), order_seed
+
+
+# -- the lean path's exits ----------------------------------------------------
+#
+# The boolean engine integrates a primitive-only object per caller pair and
+# records no ``<·`` for it (DESIGN §6, decision 16).  In each tree set below
+# the violating order closes a cycle that lives only in object X's ``<·``:
+# no caller dependency repeats it.  The engine sees it only if it
+# materializes X when (a) the program orders a same-tree pair against its
+# stamps, (b) a method action joins X, (c) as (b), where the joining tree's
+# call cycle also hangs Definition 5 duplicates off X's actions, so that
+# their conflicts reach X by Definition 11.  The benign order has no cycle.
+
+
+def _lean_registry():
+    registry = CommutativityRegistry()
+    registry.register("Y", ReadWriteCommutativity())
+    registry.register("M", MatrixCommutativity({}, default=True))
+    # p and q conflict with themselves and each other; m conflicts only
+    # with p, n only with q; s commutes with everything.
+    commuting = [("m", "q"), ("n", "p"), ("m", "n")]
+    commuting += [(method, "s") for method in "mnpqs"]
+    registry.register("X", MatrixCommutativity(dict.fromkeys(commuting, True)))
+    return registry
+
+
+def _lean_trees(case, order):
+    """The trees of ``case`` with their primitives stamped in ``order``."""
+    system = TransactionSystem()
+    prims = {}
+    if case == "a":
+        prims["c"] = system.transaction("T1").call("X", "p")
+        caller = system.transaction("T2").call("M", "w")
+        prims["a1"] = caller.call("X", "p")
+        prims["a2"] = caller.call("X", "p")  # program: a1 before a2
+        prims["b"] = caller.call("X", "p", parallel=True)
+        system.order_primitives(prims[name] for name in order)
+        return system
+    caller = system.transaction("T1").call("M", "w")
+    prims["a"] = caller.call("X", "p")
+    prims["b"] = caller.call("X", "q")  # program: a before b
+    if case == "b":
+        m1 = system.transaction("T2").call("X", "m")
+        m2 = system.transaction("T3").call("X", "n")
+    else:
+        # One tree, whose X.m reaches X.s through Z: the extension moves
+        # X.s to X′ and duplicates a, b, X.m and X.n there.  The callers
+        # of X.m and X.n are unordered (so are their calls on Y) and
+        # commute on M, which keeps the cycle out of every ``↝``.
+        t2 = system.transaction("T2")
+        m1 = t2.call("M", "x").call("X", "m")
+        m2 = t2.call("M", "y", parallel=True).call("X", "n")
+        prims["o"] = m1.call("Z", "r").call("X", "s")
+    prims["y1a"] = m1.call("Y", "read")
+    prims["y1b"] = m1.call("Y", "write")
+    prims["y2"] = m2.call("Y", "read")
+    system.order_primitives(prims[name] for name in order if name in prims)
+    return system
+
+
+LEAN_ORDERS = {
+    # violating: a1 <· a2 by the program, a2 < b < a1 by the stamps
+    "a": (["c", "a2", "b", "a1"], ["c", "a1", "a2", "b"]),
+    # violating: m1 < a and b < m2 (Axiom 1, or Definition 11 from X′),
+    # a <· b (program) and m2 <· m1 inherited from Y (y2 < y1b), where m
+    # and n commute
+    "b": (
+        ["y1a", "a", "b", "y2", "y1b", "o"],
+        ["a", "b", "y1a", "y1b", "y2", "o"],
+    ),
+}
+LEAN_ORDERS["c"] = LEAN_ORDERS["b"]
+
+
+@pytest.mark.parametrize("case", ["a", "b", "c"])
+def test_lean_objects_materialize_when_they_must(case):
+    verdicts = set()
+    violating = LEAN_ORDERS[case][0]
+    for order in LEAN_ORDERS[case]:
+        engine = IncrementalDependencyEngine(
+            TransactionSystem(), _lean_registry(), track_cycles=True
+        )
+        tops = _lean_trees(case, order).tops
+        for count, txn in enumerate(tops, start=1):
+            engine.append_transaction(txn)
+            if count == 1:
+                assert "X" in engine._lean  # primitive-only so far
+            prefix = TransactionSystem()
+            for reference_txn in _lean_trees(case, order).tops[:count]:
+                prefix.adopt(reference_txn)
+            verdict, _ = reference_analyze_system(prefix, _lean_registry())
+            assert engine.violated == (not verdict.oo_serializable), (
+                order,
+                count,
+            )
+            verdicts.add(verdict.oo_serializable)
+        if order is violating:
+            assert "X" not in engine._lean
+        if case == "c":
+            assert any(is_virtual(oid) for oid in engine.schedules)
+    assert verdicts == {True, False}
+
+
+# A lean page lifts while its append is still being integrated, so the
+# caller objects it reaches by Definition 15 must already have schedules —
+# also one first fed by that same append.  Pages A and B sort before the
+# caller objects M and N.  T2 brings M: its page A lifts m1 ↝ n, recorded
+# on M before M itself is integrated.  In the violating order n ↝ m2 (page
+# B) and m2 <·_M m1 (Definition 11 from Y; m1 and m2 commute on M) close a
+# cycle that lives only in M's <· ∪ <+: the global graph holds T2 → T1 → T3.
+
+
+def _caller_registry():
+    registry = CommutativityRegistry()  # A, B, N: everything conflicts
+    registry.register("Y", ReadWriteCommutativity())
+    registry.register("M", MatrixCommutativity({}, default=True))
+    return registry
+
+
+def _caller_trees(order):
+    system = TransactionSystem()
+    n = system.transaction("T1").call("N", "n")
+    m1 = system.transaction("T2").call("M", "x")
+    m2 = system.transaction("T3").call("M", "y")
+    prims = {
+        "b": n.call("A", "p"),
+        "b2": n.call("B", "p"),
+        "a": m1.call("A", "p"),
+        "y1": m1.call("Y", "write"),
+        "c": m2.call("B", "p"),
+        "y2": m2.call("Y", "read"),
+    }
+    system.order_primitives(prims[name] for name in order)
+    return system
+
+
+CALLER_ORDERS = (
+    ["a", "b", "b2", "c", "y2", "y1"],  # violating: y2 < y1
+    ["a", "y1", "b", "b2", "c", "y2"],  # benign: m1 before m2 everywhere
+)
+
+
+def _added_edge_sets(schedules):
+    edge_sets = {
+        oid: set(_labeled_edges(sched.added_dep))
+        for oid, sched in schedules.items()
+    }
+    return {oid: edges for oid, edges in edge_sets.items() if edges}
+
+
+def test_lean_lifts_reach_caller_objects_new_in_the_append():
+    verdicts = set()
+    for order in CALLER_ORDERS:
+        engine = IncrementalDependencyEngine(
+            TransactionSystem(), _caller_registry(), track_cycles=True
+        )
+        for count, txn in enumerate(_caller_trees(order).tops, start=1):
+            engine.append_transaction(txn)
+            if count == 1:
+                assert {"A", "B"} <= engine._lean
+            prefix = TransactionSystem()
+            for reference_txn in _caller_trees(order).tops[:count]:
+                prefix.adopt(reference_txn)
+            verdict, _ = reference_analyze_system(prefix, _caller_registry())
+            assert engine.violated == (not verdict.oo_serializable), (
+                order,
+                count,
+            )
+            verdicts.add(verdict.oo_serializable)
+            if engine.violated:
+                continue  # the boolean engine stops deriving at a cycle
+            materialized = TransactionSystem()
+            for reference_txn in _caller_trees(order).tops[:count]:
+                materialized.adopt(reference_txn)
+            one_shot = IncrementalDependencyEngine(
+                materialized, _caller_registry()
+            ).run()
+            assert _added_edge_sets(engine.schedules) == _added_edge_sets(
+                one_shot
+            ), (order, count)
+    assert verdicts == {True, False}

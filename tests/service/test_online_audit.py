@@ -21,7 +21,9 @@ import pytest
 
 from repro.core.certify import OnlineCertifier, certified_base
 from repro.core.commutativity import CommutativityRegistry
+from repro.core.dependency import IncrementalDependencyEngine
 from repro.core.identifiers import is_virtual
+from repro.core.schedule import ObjectSchedule
 from repro.errors import ScheduleError
 from repro.fuzz.driver import FUZZ_PROTOCOLS
 from repro.fuzz.oracle import Ablation, check_history, strictness_for
@@ -420,7 +422,11 @@ def decisions_run():
     """The long run again, counting every commutativity decision the
     certifier asks its object specifications for: the fast path's straggler
     screen and the exact engine's pair kernel, which decides a pair from
-    the specification without going through ``in_conflict``."""
+    the specification without going through ``in_conflict``.
+
+    The same run counts the exact engine's work on primitive-only objects
+    (the pages): the Axiom 1 and Definition 7 edges it records in their
+    ``<·``, and its Definition 10 lift attempts, per commit."""
     svc = TransactionService(
         ServiceConfig(protocol="open-nested-oo", seed=7, batch_max=WAVE)
     )
@@ -430,6 +436,9 @@ def decisions_run():
     #: (specification decisions, commits observed) as of each seal
     marks = [(0, 0)]
     for_object, seal = registry.for_object, certifier.seal
+    work = dict.fromkeys(("Axiom 1", "Definition 7", "lifts"), 0)
+    record_reason = ObjectSchedule.record_reason
+    lift = IncrementalDependencyEngine._lift
 
     class Counted:
         def __init__(self, spec):
@@ -443,15 +452,29 @@ def decisions_run():
         seal()
         marks.append((decisions[0], certifier.committed))
 
+    def recorded(sched, relation, src, dst, template, *args):
+        if relation == "action" and not any(a.children for a in sched.actions):
+            for kind in ("Axiom 1", "Definition 7"):
+                work[kind] += template.startswith(kind)
+        record_reason(sched, relation, src, dst, template, *args)
+
+    def lifted(engine, *args):
+        work["lifts"] += 1
+        lift(engine, *args)
+
     registry.for_object = lambda oid: Counted(for_object(oid))
     certifier.seal = marked
-    with svc:
-        _waves(svc, random.Random("flat"), waves=BATCHES)
-    return marks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ObjectSchedule, "record_reason", recorded)
+        patch.setattr(IncrementalDependencyEngine, "_lift", lifted)
+        with svc:
+            _waves(svc, random.Random("flat"), waves=BATCHES)
+    per_commit = {kind: n / certifier.committed for kind, n in work.items()}
+    return marks, per_commit
 
 
 def test_specification_decisions_per_commit_are_flat(decisions_run):
-    marks = decisions_run
+    marks, _ = decisions_run
     assert len(marks) > BATCHES
 
     def per_commit(first, last):
@@ -461,6 +484,17 @@ def test_specification_decisions_per_commit_are_flat(decisions_run):
     early = per_commit(0, 25)
     assert early > 0
     assert per_commit(100, 125) <= 1.1 * early
+
+
+def test_primitive_objects_are_judged_per_caller_pair(decisions_run):
+    """A page adds to ``↝`` one edge per distinct caller pair, and no
+    ``<·`` of its own (DESIGN §6, decision 16).  Materializing the pages,
+    the engine recorded 101 Axiom 1 and 59 Definition 7 edges on them and
+    attempted 108 lifts per commit on this run; per caller pair it records
+    none and attempts 14."""
+    _, per_commit = decisions_run
+    assert 0 < per_commit["lifts"] <= 25
+    assert per_commit["Axiom 1"] + per_commit["Definition 7"] <= 5
 
 
 def test_optimistic_judge_is_bounded_by_one_batch(monkeypatch):
