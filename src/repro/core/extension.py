@@ -92,13 +92,19 @@ def extend_system(
     this on an already-extended system is a no-op.
 
     ``tops`` restricts the *offender scan* to the given transactions' trees
-    — used by the incremental engine when appending a transaction to an
+    — used by the incremental analyses when appending a transaction to an
     already-extended system.  Peer duplication is never restricted: once an
     offender is found, every action on its object (whichever tree it lives
-    in) is virtually duplicated, exactly as in the unrestricted pass.
+    in) is virtually duplicated, exactly as in the unrestricted pass.  Nor
+    does an appended tree escape an earlier split: its actions on a split
+    object are first duplicated onto every virtual object split from it
+    (:attr:`TransactionSystem.splits`, in split order), as they would have
+    been had the tree been present when the split happened.
     """
     result = ExtensionResult(system=system)
     generations: dict[ObjectId, int] = {}
+    if tops is not None and system.splits:
+        _join_splits(system, tops, result)
 
     while True:
         offender = find_offending_action(system, tops)
@@ -129,19 +135,47 @@ def _break_cycle(
     result.virtual_objects[virtual_object] = source_object
     result.moved.append(offender)
     system.declare_object(virtual_object)
+    system.splits[virtual_object] = source_object
 
     for peer in peers:
-        duplicate = ActionNode(
-            aid=peer.aid + (len(peer.children) + 1,),
-            obj=virtual_object,
-            method=peer.method,
-            args=peer.args,
-            parent=peer,
-            top=peer.top,
-            seq=peer.seq,  # replay the original Axiom 1 order on O′
-            state=peer.state,
-            virtual=True,
-            original=peer,
-        )
-        peer.children.append(duplicate)
-        result.duplicates.append(duplicate)
+        result.duplicates.append(_duplicate(peer, virtual_object))
+
+
+def _join_splits(
+    system: TransactionSystem, tops: Iterable, result: ExtensionResult
+) -> None:
+    """Duplicate the appended trees' actions onto the earlier splits.
+
+    Splits are replayed in the order they happened, so an action
+    duplicated onto ``O′`` is itself duplicated onto a later ``O″`` split
+    from ``O′`` — the one-shot extension's peers, restricted to the new
+    trees.
+    """
+    on: dict[ObjectId, list[ActionNode]] = {}
+    for txn in tops:
+        for action in txn.actions():
+            if not action.virtual:
+                on.setdefault(action.obj, []).append(action)
+    for virtual_object, source_object in system.splits.items():
+        for peer in on.get(source_object, ()):
+            duplicate = _duplicate(peer, virtual_object)
+            result.duplicates.append(duplicate)
+            on.setdefault(virtual_object, []).append(duplicate)
+
+
+def _duplicate(peer: ActionNode, virtual_object: ObjectId) -> ActionNode:
+    """Hang ``peer``'s virtual duplicate on ``virtual_object`` off it."""
+    duplicate = ActionNode(
+        aid=peer.aid + (len(peer.children) + 1,),
+        obj=virtual_object,
+        method=peer.method,
+        args=peer.args,
+        parent=peer,
+        top=peer.top,
+        seq=peer.seq,  # replay the original Axiom 1 order on O′
+        state=peer.state,
+        virtual=True,
+        original=peer,
+    )
+    peer.children.append(duplicate)
+    return duplicate

@@ -60,6 +60,9 @@ class TransactionSystem:
         self._by_label: dict[str, OOTransaction] = {}
         self._declared_objects: set[ObjectId] = {SYSTEM_OBJECT}
         self._seq_counter: list[int] = [0]
+        #: Definition 5 splits so far: virtual object -> the object it was
+        #: split from, in split order (:mod:`repro.core.extension`)
+        self.splits: dict[ObjectId, ObjectId] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -100,7 +103,7 @@ class TransactionSystem:
         self._tops.append(txn)
 
     def retire_tops(self) -> None:
-        """Empty TOP and forget the virtual objects declared for its trees.
+        """Empty TOP and forget the virtual objects split for its trees.
 
         For an analysis-private system whose owner is done with the trees
         it adopted (:meth:`repro.core.certify.OnlineCertifier.seal`); the
@@ -114,6 +117,7 @@ class TransactionSystem:
         self._declared_objects = {
             oid for oid in self._declared_objects if not is_virtual(oid)
         }
+        self.splits.clear()
 
     def declare_object(self, oid: ObjectId) -> ObjectId:
         """Add an object to OBJ even if no action accesses it yet."""

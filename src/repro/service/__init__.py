@@ -11,8 +11,9 @@ retry hints, never silent buffering).
 - :mod:`repro.service.admission` — per-tenant quotas, token buckets,
   queue-depth bounds, the rejection alphabet;
 - :mod:`repro.service.service` — :class:`TransactionService`: the engine
-  thread batching admitted requests onto one persistent deterministic
-  executor, the settlement ledger, the post-hoc oracle certification;
+  thread batching admitted requests onto one persistent shard group (at
+  one shard, one deterministic executor), the settlement ledger, the
+  post-hoc oracle certification;
 - :mod:`repro.service.server` — JSONL-over-TCP request port plus a live
   Prometheus metrics port;
 - :mod:`repro.service.client` — honest and deliberately misbehaving

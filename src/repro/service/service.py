@@ -6,10 +6,14 @@ campaigns use.  Many threads submit method-call programs concurrently; the
 service admits or rejects each one (:mod:`repro.service.admission`), queues
 admitted requests into a bounded engine queue, and a single **engine
 thread** drains them in batches onto one persistent
-:class:`~repro.runtime.executor.InterleavedExecutor` over the shared
-:class:`~repro.oodb.database.ObjectDatabase`.
+:class:`~repro.shard.service.ShardGroup` — the engine at every shard
+count.  At one shard the group is one deterministic executor over one
+:class:`~repro.oodb.database.ObjectDatabase`, and ``db`` / ``executor``
+are that unit's own (the durable data dir, the online audit and the exact
+oracle all live there); at N shards ``db`` is the group itself, which
+duck-types the catalog and metrics surface the front half reads.
 
-Why batches on one deterministic executor rather than a thread per client
+Why batches on deterministic executors rather than a thread per client
 transaction: the paper's schedulers assume the simulator's one-runnable-
 worker discipline, and the oracle needs the executed history.  Batching
 keeps both — concurrency *within* a batch is real (the executor interleaves
@@ -25,10 +29,13 @@ when its batch starts, and the executor maps expiry onto the existing
 
 The ledger discipline (see :class:`~repro.oodb.session.DatabaseSession`):
 every admitted request is ``admit()``-ed before it is queued and
-``settle()``-d exactly once with its terminal status.  ``audit()`` checks
-the two service invariants — no admitted transaction left unsettled, and
-every transaction the service answered "committed" for actually committed
-in the executed history (no lost admitted commits).
+``settle()``-d exactly once with its terminal status.  A failed batch is
+answered by one rule at every shard count: a transaction whose branches
+all reached a verdict is answered from its outcome, the rest ``error``.
+``audit()`` checks the service invariants — no admitted transaction left
+unsettled, every transaction answered "committed" actually committed (no
+lost admitted commits), and every commit the engine kept was answered
+"committed" (no unreported commits).
 """
 
 from __future__ import annotations
@@ -43,21 +50,12 @@ from collections import deque
 
 from repro.core.certify import OnlineCertifier, certified_base
 from repro.errors import DatabaseError
-from repro.fuzz.generator import (
-    GeneratorProfile,
-    generate,
-    host_workload,
-    sharded_profile,
-)
+from repro.fuzz.generator import GeneratorProfile, generate, sharded_profile
 from repro.fuzz.oracle import check_history, strictness_for
 from repro.oodb.session import DatabaseSession
 from repro.oodb.wal import WriteAheadLog
-from repro.runtime.executor import (
-    ExecutionResult,
-    InterleavedExecutor,
-    RetryPolicy,
-)
-from repro.runtime.program import program_from_ops
+from repro.oodb.store import FileBackedPageStore
+from repro.runtime.executor import ExecutionResult, RetryPolicy
 from repro.service.admission import (
     REJECT_QUEUE_FULL,
     REJECT_SHUTTING_DOWN,
@@ -65,6 +63,7 @@ from repro.service.admission import (
     Rejection,
     TenantQuota,
 )
+from repro.shard.service import ShardGroup
 
 #: ops a client program may contain (the workload generator's alphabet)
 OP_SEND = "send"
@@ -103,8 +102,8 @@ class ServiceConfig:
     frames: int = 256
     #: fuzzy-checkpoint interval in WAL records when ``data_dir`` is set
     checkpoint_every: int = 512
-    #: run the sharded multi-core backend with this many shards (1 = the
-    #: classic single-executor engine; see :mod:`repro.shard.service`)
+    #: shards of the engine's shard group (1 = one executor over one
+    #: database, the single-core engine; see :mod:`repro.shard.service`)
     shards: int = 1
 
     def to_dict(self) -> dict:
@@ -243,71 +242,55 @@ class TransactionService:
             self.config.seed, sharded_profile(profile, self.config.shards)
         )
         self.spec = spec
-        self._wal: WriteAheadLog | None = None
-        self._group = None
-        self.executor = None
-        if self.config.shards > 1:
-            # N shard databases and executors behind one coordinator replace
-            # the single shared executor.  The group duck-types the narrow
-            # database surface the front half reads — catalog lookups and
-            # the metrics registry — so admission, sessions and settlement
-            # run unchanged.
-            from repro.shard.service import ShardGroup
-
-            if self.config.data_dir is not None:
+        storage: dict = {}
+        if self.config.data_dir is not None:
+            if self.config.shards > 1:
                 raise DatabaseError(
                     "shards > 1 does not compose with --data-dir: the sharded "
                     "runtime keeps per-shard WAL segments only in cell mode "
                     "(python -m repro shard --data-dir)"
                 )
-            self.db = self._group = ShardGroup(
-                spec,
-                self.config.protocol,
-                self.config.shards,
-                seed=self.config.seed,
-                max_ticks=MAX_TICKS,
-                retry_policy=self.config.retry_policy,
-            )
-            self.oids = sorted(self._group.shard_map.assignment)
-        else:
-            store = None
-            if self.config.data_dir is not None:
-                from repro.oodb.store import FileBackedPageStore
-
-                os.makedirs(self.config.data_dir, exist_ok=True)
-                wal_path = os.path.join(self.config.data_dir, "wal.jsonl")
-                if os.path.exists(wal_path):
-                    # Bootstrapping over prior state would append a second
-                    # genesis onto its log; make the operator decide first.
-                    raise DatabaseError(
-                        f"data dir {self.config.data_dir} already holds a "
-                        "WAL; run `repro recover --data-dir` and move it "
-                        "aside, or point --data-dir at a fresh directory"
-                    )
-                self._wal = WriteAheadLog(path=wal_path)
-                store = FileBackedPageStore(
+            os.makedirs(self.config.data_dir, exist_ok=True)
+            wal_path = os.path.join(self.config.data_dir, "wal.jsonl")
+            if os.path.exists(wal_path):
+                # Bootstrapping over prior state would append a second
+                # genesis onto its log; make the operator decide first.
+                raise DatabaseError(
+                    f"data dir {self.config.data_dir} already holds a "
+                    "WAL; run `repro recover --data-dir` and move it "
+                    "aside, or point --data-dir at a fresh directory"
+                )
+            storage = {
+                "wal": WriteAheadLog(path=wal_path),
+                "store": FileBackedPageStore(
                     self.config.data_dir,
                     frames=self.config.frames,
                     default_capacity=spec.page_capacity,
-                )
-            # Materialize the object graph only, none of the spec's canned
-            # programs — clients author the programs here.
-            self.db, self.oids, _ = host_workload(
-                spec,
-                self.config.protocol,
-                programs=[],
-                wal=self._wal,
-                store=store,
-                checkpoint_every=(
-                    self.config.checkpoint_every if store is not None else None
                 ),
-            )
-            self.executor = InterleavedExecutor(
-                self.db,
-                seed=self.config.seed,
-                max_ticks=MAX_TICKS,
-                retry_policy=self.config.retry_policy,
-            )
+                "checkpoint_every": self.config.checkpoint_every,
+            }
+        # The engine at every shard count; clients author the programs.
+        self._group = ShardGroup(
+            spec,
+            self.config.protocol,
+            self.config.shards,
+            seed=self.config.seed,
+            max_ticks=MAX_TICKS,
+            retry_policy=self.config.retry_policy,
+            storage_for=lambda shard: storage,
+        )
+        self.oids = sorted(self._group.shard_map.assignment)
+        if self.config.shards == 1:
+            # One shard is the single-core engine: the front half reads the
+            # unit's own database and executor.
+            self.db = self._group.dbs[0]
+            self.executor = self._group.units[0].executor
+        else:
+            # The group duck-types the narrow database surface the front
+            # half reads — catalog lookups and the metrics registry — so
+            # admission, sessions and settlement run unchanged.
+            self.db = self._group
+            self.executor = None
         self.admission = AdmissionController(
             self.config.default_quota,
             clock=clock,
@@ -356,7 +339,7 @@ class TransactionService:
         )
         self._certifier_lock = threading.Lock()
         self._certifier: OnlineCertifier | None = None
-        if self.config.online_certify and self._group is None:
+        if self.config.online_certify and self.config.shards == 1:
             # The online audit: every settled batch's commits are certified
             # in the engine thread, one certifier epoch per batch.  Between
             # two batches nothing is in flight and the shared stamp clock
@@ -400,13 +383,7 @@ class TransactionService:
             except queue.Empty:
                 break
             self._cancel(request)  # pragma: no cover - defensive
-        # Durable shutdown: a final checkpoint fences redo for the next
-        # open, every dirty page reaches its image, and the handles close.
-        if self._wal is not None and not self._wal.crashed:
-            self.db.checkpoint()
-            self._wal.sync()
-            self.db.store.close()
-            self._wal.close()
+        self._group.close()
 
     def _cancel(self, request: _Request) -> None:
         """Settle an admitted request that will never execute."""
@@ -596,15 +573,12 @@ class TransactionService:
             if batch:
                 self._run_batch(batch)
 
-    def _execute(self, batch: list[_Request]) -> dict:
-        """Run one batch on the engine; returns ``{label: outcome}``.
-
-        The shard group merges every transaction's branch outcomes into
-        one :class:`~repro.runtime.executor.WorkerOutcome`, so settlement —
-        ledgers, admission accounting, responses — is the same either way.
-        """
-        if self._group is not None:
-            return self._group.run_batch(
+    def _run_batch(self, batch: list[_Request]) -> None:
+        for request in batch:
+            self.admission.started(request.tenant)
+        failure = None
+        try:
+            outcomes = self._group.run_batch(
                 [
                     {
                         "label": request.label,
@@ -615,43 +589,14 @@ class TransactionService:
                     for request in batch
                 ]
             )
-        programs = [
-            program_from_ops(
-                request.label,
-                request.ops,
-                max_restarts=request.max_restarts,
-                kind="service",
-                deadline_tick=(
-                    self.executor.now + int(request.deadline_ticks)
-                    if request.deadline_ticks is not None
-                    else None
-                ),
-            )
-            for request in batch
-        ]
-        return {o.label: o for o in self.executor.run(programs).outcomes}
-
-    def _run_batch(self, batch: list[_Request]) -> None:
-        for request in batch:
-            self.admission.started(request.tenant)
-        failure = None
-        try:
-            outcomes = self._execute(batch)
         except BaseException as exc:
             # A worker error (validated requests make this rare) or a
-            # failure of the schedule itself.  Recover the outcomes of the
-            # workers that finished so no admitted request goes unsettled,
-            # then fail the stragglers — the executor rolled those back; a
-            # shard group's branch outcomes are partial, so all of its
-            # batch fails.
+            # failure of the schedule itself.  The group unwound the batch;
+            # every transaction whose branches all reached a verdict of
+            # their own is answered from its outcome — a kept commit is
+            # answered "committed" — and the rest, rolled back, fail.
             failure = exc
-            outcomes = {}
-            if self.executor is not None:
-                outcomes = {
-                    w.outcome.label: w.outcome
-                    for w in self.executor._workers
-                    if w.outcome.finished
-                }
+            outcomes = self._group.outcomes
         else:
             self._batches.inc()
             self._batch_size.observe(len(batch))
@@ -673,7 +618,7 @@ class TransactionService:
         gauge exposes the backlog — it is bounded by ``batch_max`` and
         returns to zero before the next batch starts.
 
-        ``executor.run()`` has returned (or unwound and joined its workers)
+        ``run_batch()`` has returned (or unwound and joined its workers)
         by now, so this is a quiescent point: every stamp the next batch
         draws exceeds every stamp fed here.  The batch is therefore sealed
         as one certifier epoch, which is what keeps the audit's cost and
@@ -743,35 +688,39 @@ class TransactionService:
         """The whole service run as one oracle-checkable result."""
         with self._outcome_lock:
             outcomes = list(self._outcomes)
-        sharded = self._group is not None
         return ExecutionResult(
             outcomes=outcomes,
-            makespan=self._group.now if sharded else self.executor.now,
-            scheduler_stats=(
-                {} if sharded else dict(self.executor._scheduler_stats())
-            ),
+            makespan=self._group.now,
+            scheduler_stats={},
             db=self.db,
             seed=self.config.seed,
         )
 
     def audit(self) -> dict:
-        """The two service invariants, checked from the ledgers outward.
+        """The service invariants, checked between the ledgers and the engine.
 
         - ``unsettled``: admitted transactions with no terminal status
           (must be empty after :meth:`stop`);
         - ``lost_commits``: labels the service answered "committed" for
           whose executed outcome does not show a commit — the one answer a
-          transaction service must never get wrong.
+          transaction service must never get wrong;
+        - ``unreported_commits``: labels the engine committed that the
+          ledgers do not show as committed — a kept commit answered as
+          anything else (exact once the service stopped: a running batch
+          commits before it is answered).
         """
         unsettled: list[str] = []
         lost: list[str] = []
+        reported: set[str] = set()
         with self._sessions_lock:
             sessions = list(self._sessions.values())
         with self._outcome_lock:
             by_label = dict(self._outcome_by_label)
         for sess in sessions:
             unsettled.extend(sorted(sess.unsettled))
-            for label in sorted(sess.committed_labels):
+            committed = sess.committed_labels
+            reported |= committed
+            for label in sorted(committed):
                 outcome = by_label.get(label)
                 if (
                     outcome is None
@@ -779,10 +728,15 @@ class TransactionService:
                     or outcome.final_ctx is None
                 ):
                     lost.append(label)
+        kept: set[str] = set()
+        for unit in self._group.units:
+            kept.update(unit.committed_attempts)
+        unreported = sorted(kept - reported)
         return {
             "unsettled": unsettled,
             "lost_commits": lost,
-            "ok": not unsettled and not lost,
+            "unreported_commits": unreported,
+            "ok": not unsettled and not lost and not unreported,
         }
 
     def certify(self, ablation=None, *, exact: bool = False):
@@ -795,7 +749,7 @@ class TransactionService:
         computed and returned instead.  ``exact=True`` or an ``ablation``
         forces the full :func:`check_history` replay.
         """
-        if self._group is not None:
+        if self.config.shards > 1:
             return self._group.certify(ablation, gave_up=self._gave_up)
         strict = strictness_for(self.config.protocol)
         if ablation is not None or exact or self._certifier is None:

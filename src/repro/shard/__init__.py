@@ -7,11 +7,11 @@ two-phase commit through a coordinator that maintains the global Def 15
 added-action relation and aborts any prepare that would close a Def 16
 cycle (:mod:`repro.shard.coordinator`).  The engine is one copy deep:
 the shard-side executor in :mod:`repro.shard.executor`; the shard unit, the
-barrier loop, the Def 16 composition and the service's ``ShardGroup`` in
-:mod:`repro.shard.service`; the fuzz-cell driver (deterministic
-in-process epochs) and the canonical cell report in
-:mod:`repro.shard.runtime`; presumed-abort segment recovery
-in :mod:`repro.shard.recovery`.
+barrier loop, the Def 16 composition and ``ShardGroup`` — the one driver
+of the units, behind the service at every shard count and every fuzz cell
+— in :mod:`repro.shard.service`; the fuzz cell (one batch of a fresh
+group) and the canonical cell report in :mod:`repro.shard.runtime`;
+presumed-abort segment recovery in :mod:`repro.shard.recovery`.
 """
 
 from repro.runtime.program import base_label
@@ -19,10 +19,8 @@ from repro.shard.coordinator import ABORT, COMMIT, Coordinator, canonical_cycle
 from repro.shard.executor import ShardExecutor
 from repro.shard.partition import (
     ShardMap,
-    SplitWorkload,
     call_components,
     split_ops,
-    split_programs,
 )
 from repro.shard.recovery import (
     ResolutionReport,
@@ -58,7 +56,6 @@ __all__ = [
     "ShardState",
     "ShardSummary",
     "ShardedResult",
-    "SplitWorkload",
     "base_label",
     "call_components",
     "canonical_cycle",
@@ -72,5 +69,4 @@ __all__ = [
     "run_sharded_cell",
     "single_core_text",
     "split_ops",
-    "split_programs",
 ]

@@ -9,8 +9,8 @@ therefore unions objects connected by any call edge and
 first-appearance order — deterministic and balanced, unlike a raw
 name-hash which can collapse a handful of components onto one shard).
 
-Transactions still span shards: :func:`split_programs` cuts each program's
-top-level sends into one *branch* program per target shard.  A transaction
+Transactions still span shards: :func:`split_ops` cuts each transaction's
+top-level sends into one *branch* per target shard.  A transaction
 with branches on two or more shards must two-phase commit through the
 coordinator (``repro.shard.coordinator``); a single-branch transaction
 commits locally (the 1PC fast path), which is what makes a 1-shard run
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fuzz.generator import ProgramSpec, WorkloadSpec
+from repro.fuzz.generator import WorkloadSpec
 
 
 def call_components(spec: WorkloadSpec) -> list[list[str]]:
@@ -101,18 +101,6 @@ class ShardMap:
         )
 
 
-@dataclass
-class SplitWorkload:
-    """One workload's programs cut into per-shard branch programs."""
-
-    #: shard -> branch program specs (labels are the original transaction
-    #: labels; at most one branch per (transaction, shard))
-    branches: dict[int, list[ProgramSpec]]
-    #: label -> sorted shard ids, for transactions spanning >= 2 shards —
-    #: the coordinator's expected-vote table
-    multi: dict[str, tuple[int, ...]]
-
-
 def split_ops(ops: list, shard_map: ShardMap) -> dict[int, list]:
     """Cut one op list into per-shard sublists, preserving per-shard order.
 
@@ -139,25 +127,3 @@ def split_ops(ops: list, shard_map: ShardMap) -> dict[int, list]:
     if pending and not per_shard:
         per_shard[0] = pending
     return per_shard
-
-
-def split_programs(spec: WorkloadSpec, shard_map: ShardMap) -> SplitWorkload:
-    """Cut every program of ``spec`` into per-shard branches."""
-    branches: dict[int, list[ProgramSpec]] = {
-        shard: [] for shard in range(shard_map.n_shards)
-    }
-    multi: dict[str, tuple[int, ...]] = {}
-    for pspec in spec.programs:
-        per_shard = split_ops(pspec.ops, shard_map)
-        shards = sorted(per_shard)
-        if len(shards) > 1:
-            multi[pspec.label] = tuple(shards)
-        for shard in shards:
-            branches[shard].append(
-                ProgramSpec(
-                    label=pspec.label,
-                    ops=per_shard[shard],
-                    max_restarts=pspec.max_restarts,
-                )
-            )
-    return SplitWorkload(branches=branches, multi=multi)

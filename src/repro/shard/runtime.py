@@ -1,11 +1,10 @@
-"""Fuzz-cell drivers of the shard engine, and the canonical cell report.
+"""The sharded fuzz cell, and the canonical cell report.
 
-A sharded *cell* is N fresh :class:`~repro.shard.service.ShardState` units
-driven for exactly one batch — the workload spec's programs, cut into
-per-shard branches by ``partition.py`` — through
-:func:`~repro.shard.service.drive_epochs`, then judged by
-:func:`~repro.shard.service.compose_report` plus the cell-only atomicity
-check (:func:`assemble_result`).
+A sharded *cell* is a fresh :class:`~repro.shard.service.ShardGroup` run for
+exactly one batch — the workload spec's programs, through
+:meth:`~repro.shard.service.ShardGroup.run_batch` like any service batch —
+then judged by :func:`~repro.shard.service.compose_report` plus the
+cell-only atomicity check (:func:`assemble_result`).
 
 Epochs run one after another on the calling thread.  Each unit's
 interleaving depends only on its own seeded RNG and the (deterministic)
@@ -20,17 +19,16 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from repro.fuzz.generator import WorkloadSpec, build_program
+from repro.fuzz.generator import WorkloadSpec
 from repro.fuzz.oracle import Ablation, OracleReport, strictness_for
 from repro.obs.events import EventBus, event_to_dict
 from repro.oodb.wal import WriteAheadLog
 from repro.runtime.program import base_label
-from repro.shard.coordinator import ABORT, COMMIT, Coordinator
-from repro.shard.partition import ShardMap, split_programs
+from repro.shard.coordinator import ABORT, COMMIT
 from repro.shard.service import (
+    ShardGroup,
     ShardState,
     compose_report,
-    drive_epochs,
     judge_history,
 )
 
@@ -45,47 +43,31 @@ CELL_MAX_TICKS = 200_000
 
 @dataclass
 class ShardSummary:
-    """End-of-run digest of one shard."""
+    """End-of-cell digest of one shard."""
 
     shard: int
     committed: list[str]
-    committed_attempts: dict[str, str]
     gave_up: list[str]
     cross_aborts: list[str]
     restarts: int
-    makespan: int
-    hung: int
     crashed: bool
-    oo_ok: bool
-    conv_ok: bool
-    oo_edges: list
-    conv_edges: list
-    wal_records: int
+    #: the shard's :func:`~repro.shard.service.judge_history` tuple
+    judgement: tuple
     metrics: dict
     events: list = field(default_factory=list)
 
 
 def _summarize(unit: ShardState) -> ShardSummary:
-    """Join the unit's workers and judge its committed history."""
-    result = unit.finish()
-    oo_ok, conv_ok, oo_edges, conv_edges = unit.judge(unit.ablation)
+    """Digest the unit's finished batch and judge its committed history."""
+    result = unit.result
     return ShardSummary(
         shard=unit.shard_id,
         committed=sorted(unit.committed_attempts),
-        committed_attempts=dict(unit.committed_attempts),
         gave_up=sorted(o.label for o in result.outcomes if o.gave_up),
         cross_aborts=sorted(o.label for o in result.outcomes if o.cross_abort),
         restarts=result.total_restarts,
-        makespan=result.makespan,
-        hung=len(result.hung),
         crashed=result.crashed,
-        oo_ok=oo_ok,
-        conv_ok=conv_ok,
-        oo_edges=oo_edges,
-        conv_edges=conv_edges,
-        wal_records=(
-            len(unit.db.wal.records) if unit.db.wal is not None else 0
-        ),
+        judgement=unit.judge(unit.ablation),
         metrics=dict(unit.db.metrics.as_dict()),
         events=unit.events,
     )
@@ -188,23 +170,18 @@ def format_cell_report(
 
 
 def assemble_result(
-    spec: WorkloadSpec,
-    protocol: str,
-    n_shards: int,
-    multi: dict[str, tuple[int, ...]],
-    summaries: list[ShardSummary],
-    coordinator_stats: dict,
-    decisions: dict[str, str],
-    makespan: int,
+    spec: WorkloadSpec, protocol: str, group: ShardGroup
 ) -> ShardedResult:
-    """Fuse per-shard summaries into the cell's global verdict.
+    """Fuse a cell group's per-shard summaries into the global verdict.
 
     The Def 14-16 decomposition is :func:`~repro.shard.service.
     compose_report`'s; the cell adds the atomicity check — a cross-shard
     transaction committed on all of its shards or none, always matching the
     coordinator's verdict.
     """
-    summaries = sorted(summaries, key=lambda s: s.shard)
+    summaries = [_summarize(unit) for unit in group.units]
+    coordinator = group.coordinator
+    decisions = coordinator.decisions
     crashed_shards = {s.shard for s in summaries if s.crashed}
     committed_on: dict[str, set[int]] = {}
     for summary in summaries:
@@ -212,7 +189,7 @@ def assemble_result(
             committed_on.setdefault(base, set()).add(summary.shard)
 
     atomicity: list[str] = []
-    for base, shards in sorted(multi.items()):
+    for base, shards in sorted(coordinator.multi.items()):
         have = committed_on.get(base, set())
         if not have:
             continue
@@ -245,12 +222,13 @@ def assemble_result(
         {base for s in summaries for base in s.cross_aborts}
         - set(committed)
     )
+    coordinator_stats = coordinator.stats()
     report = compose_report(
-        [(s.oo_ok, s.conv_ok, s.oo_edges, s.conv_edges) for s in summaries],
-        n_shards=n_shards,
+        [summary.judgement for summary in summaries],
+        n_shards=group.n_shards,
         committed=len(committed),
         gave_up=len(gave_up),
-        coord_violations=coordinator_stats.get("violations", []),
+        coord_violations=coordinator_stats["violations"],
         atomicity=atomicity,
     )
 
@@ -263,7 +241,7 @@ def assemble_result(
     return ShardedResult(
         seed=spec.seed,
         protocol=protocol,
-        n_shards=n_shards,
+        n_shards=group.n_shards,
         summaries=summaries,
         coordinator=coordinator_stats,
         decisions=dict(decisions),
@@ -272,7 +250,7 @@ def assemble_result(
         committed=committed,
         gave_up=gave_up,
         cross_aborted=cross_aborted,
-        makespan=makespan,
+        makespan=group.now,
         events=merge_events(summaries),
         metrics=merged_metrics,
     )
@@ -283,8 +261,7 @@ def merge_events(summaries: list[ShardSummary]) -> list[dict]:
 
     Each shard's stream is already in emission order and stamped with
     barrier-aligned global ticks, so this sort key is total and the merge
-    is byte-stable across runs (and across in-proc vs multiprocess
-    drivers).
+    is byte-stable across runs.
     """
     keyed = []
     for summary in sorted(summaries, key=lambda s: s.shard):
@@ -297,38 +274,8 @@ def merge_events(summaries: list[ShardSummary]) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# the cell
 # ---------------------------------------------------------------------------
-
-
-def _start_unit(
-    shard_id: int,
-    spec: WorkloadSpec,
-    protocol: str,
-    owned: list,
-    branches: list,
-    multi: dict,
-    *,
-    wal_path: str | None,
-    collect_events: bool,
-    ablation: Ablation | None,
-    faults=None,
-) -> ShardState:
-    """Build one cell unit and launch its branch programs."""
-    unit = ShardState(
-        shard_id,
-        spec,
-        protocol,
-        owned,
-        seed=spec.seed,
-        max_ticks=CELL_MAX_TICKS,
-        wal=WriteAheadLog(wal_path) if wal_path is not None else None,
-        collect_events=collect_events,
-        ablation=ablation,
-        faults=faults,
-    )
-    unit.start([build_program(pspec) for pspec in branches], multi)
-    return unit
 
 
 def run_sharded_cell(
@@ -341,50 +288,44 @@ def run_sharded_cell(
     ablation: Ablation | None = None,
     faults_for=None,
 ) -> ShardedResult:
-    """One sharded (workload, protocol) cell: build, drive, judge.
+    """One sharded (workload, protocol) cell: a fresh group, one batch.
 
     ``data_dir`` puts every shard's WAL segment and the coordinator's
     decide log on disk (``repro.shard.recovery`` resolves them after a
     crash); ``faults_for(shard)`` arms a fault plan per shard.
     """
-    shard_map = ShardMap.plan(spec, n_shards)
-    split = split_programs(spec, shard_map)
-    coord_wal = None
+    coord_wal = storage_for = None
     if data_dir is not None:
         os.makedirs(data_dir, exist_ok=True)
         coord_wal = WriteAheadLog(os.path.join(data_dir, "coord.wal.jsonl"))
-    coordinator = Coordinator(split.multi, wal=coord_wal)
-    units = [
-        _start_unit(
-            shard,
-            spec,
-            protocol,
-            shard_map.owned(shard, spec),
-            split.branches[shard],
-            split.multi,
-            wal_path=(
-                os.path.join(data_dir, f"shard{shard}.wal.jsonl")
-                if data_dir is not None
-                else None
-            ),
-            collect_events=collect_events,
-            ablation=ablation,
-            faults=faults_for(shard) if faults_for else None,
-        )
-        for shard in range(n_shards)
-    ]
-    makespan = drive_epochs(units, coordinator, [0] * n_shards)
-    summaries = [_summarize(unit) for unit in units]
-    return assemble_result(
+
+        def storage_for(shard: int) -> dict:
+            path = os.path.join(data_dir, f"shard{shard}.wal.jsonl")
+            return {"wal": WriteAheadLog(path)}
+
+    group = ShardGroup(
         spec,
         protocol,
         n_shards,
-        split.multi,
-        summaries,
-        coordinator.stats(),
-        coordinator.decisions,
-        makespan,
+        seed=spec.seed,
+        max_ticks=CELL_MAX_TICKS,
+        storage_for=storage_for,
+        coord_wal=coord_wal,
+        collect_events=collect_events,
+        ablation=ablation,
+        faults_for=faults_for,
     )
+    group.run_batch(
+        [
+            {
+                "label": pspec.label,
+                "ops": pspec.ops,
+                "max_restarts": pspec.max_restarts,
+            }
+            for pspec in spec.programs
+        ]
+    )
+    return assemble_result(spec, protocol, group)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 :class:`ShardState` is *the* per-shard unit — a shard's database,
 :class:`~repro.shard.executor.ShardExecutor`, clock offset and cumulative
-committed attempts.  A fresh unit driven for one batch of programs is a fuzz
-cell (:func:`repro.shard.runtime.run_sharded_cell`); a unit reused batch
-after batch is the service backend (:class:`ShardGroup`, ``--shards N``).
+committed attempts — and :class:`ShardGroup` is its only driver.  A fresh
+group run for one batch of programs is a fuzz cell
+(:func:`repro.shard.runtime.run_sharded_cell`); a group reused batch after
+batch is the service's engine at every shard count.  One shard is the
+single-core case: no transaction spans shards, nothing coordinates, and the
+run is byte-identical to the plain executor.
 
 Shards run in **bulk-synchronous epochs** (:func:`drive_epochs`): every unit
 drives its deterministic controller loop until quiescent (all programs
@@ -20,11 +23,13 @@ The verdict composes the same way for a cell and for a service run
 (:func:`compose_report`): objects never span shards, so every unit's
 committed projection must pass the local Def 10-14 analysis and the
 base-mapped union of their Definition 15 constraint sets must stay acyclic.
-The online per-batch certifier is a single-history device and stays disabled
-in sharded mode; :meth:`ShardGroup.certify` is the audit surface instead.
+The online per-batch certifier is a single-history device and runs only at
+one shard; at more, :meth:`ShardGroup.certify` is the audit surface.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.core.graph import OnlineTopology
 from repro.core.serializability import (
@@ -123,6 +128,8 @@ class ShardState:
         max_ticks: int,
         retry_policy: RetryPolicy | None = None,
         wal=None,
+        store=None,
+        checkpoint_every: int | None = None,
         collect_events: bool = False,
         ablation: Ablation | None = None,
         faults=None,
@@ -136,6 +143,8 @@ class ShardState:
         self.events: list[dict] = []
         #: base label -> committed attempt label, cumulative over batches
         self.committed_attempts: dict[str, str] = {}
+        #: the last batch's result (set by :meth:`finish`)
+        self.result: ExecutionResult | None = None
         bus = None
         if collect_events:
             bus = EventBus()
@@ -143,7 +152,14 @@ class ShardState:
                 lambda event: self.events.append(event_to_dict(event))
             )
         self.db, _, _ = host_workload(
-            spec, protocol, objects=owned, programs=[], wal=wal, bus=bus
+            spec,
+            protocol,
+            objects=owned,
+            programs=[],
+            wal=wal,
+            store=store,
+            checkpoint_every=checkpoint_every,
+            bus=bus,
         )
         self.executor = ShardExecutor(
             self.db,
@@ -165,8 +181,8 @@ class ShardState:
         self.executor.multi_labels.update(multi)
         # No cross-shard transaction, no barrier: nothing parks on a
         # ``2pc:`` key, so the batch drains in one epoch and nobody reads
-        # its Def 15 report.  Edges are cumulative — the next batch that
-        # does coordinate still sends them all.
+        # its commits or its Def 15 report.  Both are cumulative — the next
+        # batch that does coordinate still sends them all.
         self._coordinates = bool(multi)
         self.executor.start(programs)
         self.status = "running"
@@ -195,9 +211,13 @@ class ShardState:
             "advanced": self._progress() != before,
             "prepared": sorted(ex.prepared_attempts),
             "failed": sorted(failed),
-            "committed_local": sorted(
-                set(self.committed_attempts)
-                | {base_label(attempt) for attempt in self._committed_now()}
+            "committed_local": (
+                sorted(
+                    set(self.committed_attempts)
+                    | {base_label(attempt) for attempt in self._committed_now()}
+                )
+                if self._coordinates
+                else []
             ),
             "edges": self.current_edges() if self._coordinates else [],
             "crashed": ex.crashed,
@@ -207,7 +227,7 @@ class ShardState:
     def finish(self) -> ExecutionResult:
         """Join the batch's workers; fold its commits into the cumulative
         map."""
-        result = self.executor.finish()
+        self.result = result = self.executor.finish()
         for attempt in result.committed_labels:
             self.committed_attempts[base_label(attempt)] = attempt
         return result
@@ -348,20 +368,25 @@ def compose_report(
 
 
 # ---------------------------------------------------------------------------
-# the service backend
+# the group: the one driver of the units
 # ---------------------------------------------------------------------------
 
 
 class ShardGroup:
-    """N long-lived shard units + one coordinator behind the service engine.
+    """N shard units + one coordinator: the engine behind every caller.
 
-    The engine thread hands each batch of admitted requests to
-    :meth:`run_batch`; the group splits every request's ops across the
-    owning shards, registers multi-shard transactions with the coordinator,
-    drives the epochs until the batch drains, and merges each transaction's
-    branch outcomes back into one
-    :class:`~repro.runtime.executor.WorkerOutcome` the service settles like
-    any single-core outcome.
+    The service's engine thread hands it batch after batch of admitted
+    requests (at every shard count, one included); a fuzz cell is a fresh
+    group run for one batch (:func:`repro.shard.runtime.run_sharded_cell`).
+    :meth:`run_batch` splits every request's ops across the owning shards,
+    registers multi-shard transactions with the coordinator, drives the
+    epochs until the batch drains, and merges each transaction's branch
+    outcomes back into one :class:`~repro.runtime.executor.WorkerOutcome`.
+
+    ``storage_for(shard)`` gives a unit's storage keywords (``wal``,
+    ``store``, ``checkpoint_every``), ``faults_for(shard)`` its fault plan;
+    ``coord_wal`` is the coordinator's decide log.  ``collect_events`` and
+    ``ablation`` are the cell's merged trace and oracle self-test.
     """
 
     def __init__(
@@ -373,10 +398,15 @@ class ShardGroup:
         seed: int = 0,
         max_ticks: int = 500_000,
         retry_policy: RetryPolicy | None = None,
+        storage_for=None,
+        coord_wal=None,
+        collect_events: bool = False,
+        ablation: Ablation | None = None,
+        faults_for=None,
     ):
         self.n_shards = n_shards
         self.shard_map = ShardMap.plan(spec, n_shards)
-        self.coordinator = Coordinator({})
+        self.coordinator = Coordinator({}, wal=coord_wal)
         #: service-level metrics registry (per-shard databases keep their
         #: own; the service's engine/admission counters live here)
         self.metrics = MetricsRegistry()
@@ -389,11 +419,18 @@ class ShardGroup:
                 seed=seed,
                 max_ticks=max_ticks,
                 retry_policy=retry_policy,
+                collect_events=collect_events,
+                ablation=ablation,
+                faults=faults_for(shard) if faults_for else None,
+                **(storage_for(shard) if storage_for else {}),
             )
             for shard in range(n_shards)
         ]
         self.dbs = [unit.db for unit in self.units]
         self.clock_offsets = [0] * n_shards
+        #: the last batch's merged outcomes by label; after a failed batch,
+        #: only the transactions whose every branch reached a verdict
+        self.outcomes: dict[str, WorkerOutcome] = {}
 
     # -- the catalog surface the service validates against -------------------
 
@@ -412,24 +449,28 @@ class ShardGroup:
             for offset, unit in zip(self.clock_offsets, self.units)
         )
 
-    # -- batch execution (engine thread only) ---------------------------------
+    # -- batch execution (one caller thread) ----------------------------------
 
     def run_batch(self, requests: list[dict]) -> dict[str, WorkerOutcome]:
-        """Execute one batch of admitted requests across the shards.
+        """Execute one batch of requests across the shards.
 
-        Each request dict carries ``label``, ``ops``, ``max_restarts`` and
-        ``deadline_ticks``.  Returns one merged outcome per label.
+        Each request dict carries ``label``, ``ops`` and ``max_restarts``,
+        optionally ``deadline_ticks``.  Returns one merged outcome per label
+        (also kept as :attr:`outcomes`).
 
-        A batch whose epochs fail is unwound before the error propagates.
+        A batch that fails — an epoch raises, or a drained batch re-raises
+        a worker's error — is unwound before the error propagates.
         Its undecided cross-shard transactions are decided ABORT, and every
         unit learns every verdict of the batch — a failed epoch may not
         have delivered them.  Then every unit abandons its run: each
         unfinished worker rolls its attempt back, releasing its locks, and
         stops — except a branch of a transaction decided COMMIT, which
         commits, so the transaction commits on all of its shards.  The
-        attempts that committed are kept, and the next batch starts from a
-        clean group.
+        attempts that committed are kept, :attr:`outcomes` holds every
+        transaction whose branches all reached a verdict of their own, and
+        the next batch starts from a clean group.
         """
+        self.outcomes = {}
         per_shard: list[list[TransactionProgram]] = [
             [] for _ in range(self.n_shards)
         ]
@@ -458,6 +499,8 @@ class ShardGroup:
             unit.start(programs, multi)
         try:
             drive_epochs(self.units, self.coordinator, self.clock_offsets)
+            # finish() re-raises a worker's error once the batch drained
+            per_unit = [unit.finish().outcomes for unit in self.units]
         except Exception:
             for base in multi:
                 self.coordinator._decide(base, ABORT)  # if still undecided
@@ -469,41 +512,13 @@ class ShardGroup:
                 unit.executor._abandon()
                 for attempt in unit._committed_now():
                     unit.committed_attempts[base_label(attempt)] = attempt
+            self.outcomes = _merged(
+                [[w.outcome for w in u.executor._workers] for u in self.units],
+                finished_only=True,
+            )
             raise
-        outcomes: dict[str, WorkerOutcome] = {}
-        for unit in self.units:
-            for outcome in unit.finish().outcomes:
-                self._merge(outcomes, outcome)
-        return outcomes
-
-    @staticmethod
-    def _merge(
-        outcomes: dict[str, WorkerOutcome], branch: WorkerOutcome
-    ) -> None:
-        """Fold one branch outcome into the transaction's merged outcome.
-
-        Branches arrive in shard order, so the merged ``final_ctx`` is the
-        lowest shard's — a real committed context, which is what the
-        service's "no lost admitted commits" audit requires.  A transaction
-        committed only if *every* branch committed (2PC guarantees all or
-        none; a disagreement here would be an atomicity bug, and shows up
-        as a non-committed merge, never a phantom commit).
-        """
-        merged = outcomes.setdefault(branch.label, branch)
-        if merged is branch:
-            return
-        merged.committed = merged.committed and branch.committed
-        merged.attempts = max(merged.attempts, branch.attempts)
-        merged.gave_up = merged.gave_up or branch.gave_up
-        merged.deadline_exceeded = (
-            merged.deadline_exceeded or branch.deadline_exceeded
-        )
-        merged.hung = merged.hung or branch.hung
-        merged.cross_abort = merged.cross_abort or branch.cross_abort
-        if merged.error is None:
-            merged.error = branch.error
-        if not merged.committed:
-            merged.final_ctx = None
+        self.outcomes = _merged(per_unit)
+        return self.outcomes
 
     # -- the composed oracle --------------------------------------------------
 
@@ -530,3 +545,59 @@ class ShardGroup:
             unit.shard_id: len(unit.committed_attempts) for unit in self.units
         }
         return stats
+
+    def close(self) -> None:
+        """Durable shutdown of every unit with a live WAL: a final
+        checkpoint fences redo for the next open, every dirty page reaches
+        its image, and the handles close."""
+        for unit in self.units:
+            wal = unit.db.wal
+            if wal is None or wal.crashed:
+                continue
+            unit.db.checkpoint()
+            wal.sync()
+            unit.db.store.close()
+            wal.close()
+
+
+def _merged(per_unit, *, finished_only: bool = False) -> dict[str, WorkerOutcome]:
+    """Each transaction's branch outcomes folded into one, by label.
+
+    Branches arrive in shard order, so the merged ``final_ctx`` is the
+    lowest shard's — a real committed context, which is what the service's
+    "no lost admitted commits" audit requires.  A transaction committed
+    only if *every* branch committed (2PC guarantees all or none; a
+    disagreement here would be an atomicity bug, and shows up as a
+    non-committed merge, never a phantom commit).  A lone branch is
+    returned as is; several fold into a copy, so the units' own results
+    stay unchanged.  ``finished_only`` keeps only the transactions whose
+    every branch reached a verdict of its own
+    (:attr:`~repro.runtime.executor.WorkerOutcome.finished`): what a
+    failed batch can still answer.
+    """
+    branches: dict[str, list[WorkerOutcome]] = {}
+    for outcomes in per_unit:
+        for outcome in outcomes:
+            branches.setdefault(outcome.label, []).append(outcome)
+    merged: dict[str, WorkerOutcome] = {}
+    for label, parts in branches.items():
+        if finished_only and not all(part.finished for part in parts):
+            continue
+        outcome = parts[0]
+        if len(parts) > 1:
+            outcome = replace(outcome)
+            for branch in parts[1:]:
+                outcome.committed = outcome.committed and branch.committed
+                outcome.attempts = max(outcome.attempts, branch.attempts)
+                outcome.gave_up = outcome.gave_up or branch.gave_up
+                outcome.deadline_exceeded = (
+                    outcome.deadline_exceeded or branch.deadline_exceeded
+                )
+                outcome.hung = outcome.hung or branch.hung
+                outcome.cross_abort = outcome.cross_abort or branch.cross_abort
+                if outcome.error is None:
+                    outcome.error = branch.error
+            if not outcome.committed:
+                outcome.final_ctx = None
+        merged[label] = outcome
+    return merged

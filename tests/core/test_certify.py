@@ -254,7 +254,12 @@ class TestSeal:
                 certifier.observe_commit(txn)
                 if seal:
                     certifier.seal()
-            return [a.obj for t in trees for a in t.actions() if a.method == "c"]
+            return [
+                a.obj
+                for t in trees
+                for a in t.actions()
+                if a.method == "c" and not a.virtual
+            ]
 
         source = TransactionSystem()
         assert offender_homes(_online(source), source, seal=True) == ["O′", "O′"]

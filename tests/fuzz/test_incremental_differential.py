@@ -27,6 +27,7 @@ from repro.core.commutativity import (
     MatrixCommutativity,
     ReadWriteCommutativity,
 )
+from repro.core.certify import OnlineCertifier
 from repro.core.dependency import IncrementalDependencyEngine
 from repro.core.identifiers import is_virtual
 from repro.core.serializability import analyze_system
@@ -452,4 +453,60 @@ def test_lean_lifts_reach_caller_objects_new_in_the_append():
             assert _added_edge_sets(engine.schedules) == _added_edge_sets(
                 one_shot
             ), (order, count)
+    assert verdicts == {True, False}
+
+
+# A tree appended after a Definition 5 split still joins it.  The trees of
+# case (c) with the call of X.n moved into a third tree: T2's X.m reaches
+# X.s through Z, so the extension moves X.s to X′ and duplicates a, b and
+# X.m there.  The one-shot extension also duplicates T3's X.n onto X′.
+# There n′ and b′ are primitive and conflict, so Axiom 1 orders them and
+# Definition 11 carries the order to X.n and b on X — a pair no Axiom 1
+# edge on X orders, since both have children by then.  An appended T3
+# must get that duplicate too, or the cycle of case (b) goes unseen.  The
+# certifier shape (no up-front extension) must agree as well.
+
+
+def _split_then_join_trees(order):
+    system = TransactionSystem()
+    prims = {}
+    caller = system.transaction("T1").call("M", "w")
+    prims["a"] = caller.call("X", "p")
+    prims["b"] = caller.call("X", "q")  # program: a before b
+    m1 = system.transaction("T2").call("M", "x").call("X", "m")
+    prims["o"] = m1.call("Z", "r").call("X", "s")
+    m2 = system.transaction("T3").call("M", "y").call("X", "n")
+    prims["y1a"] = m1.call("Y", "read")
+    prims["y1b"] = m1.call("Y", "write")
+    prims["y2"] = m2.call("Y", "read")
+    system.order_primitives(prims[name] for name in order)
+    return system
+
+
+def test_trees_appended_after_a_split_join_it():
+    verdicts = set()
+    for order in LEAN_ORDERS["c"]:
+        engine = IncrementalDependencyEngine(
+            TransactionSystem(), _lean_registry(), track_cycles=True
+        )
+        certifier = OnlineCertifier(TransactionSystem(), _lean_registry())
+        tops = _split_then_join_trees(order).tops
+        for count, txn in enumerate(tops, start=1):
+            engine.append_transaction(txn)
+            certifier.observe_commit(
+                _split_then_join_trees(order).tops[count - 1]
+            )
+            prefix = TransactionSystem()
+            for reference_txn in _split_then_join_trees(order).tops[:count]:
+                prefix.adopt(reference_txn)
+            verdict, _ = reference_analyze_system(prefix, _lean_registry())
+            expected = not verdict.oo_serializable
+            assert engine.violated == expected, (order, count)
+            assert certifier.violated == expected, (order, count)
+            verdicts.add(verdict.oo_serializable)
+        # the split happened before T3 arrived, and T3 joined it
+        assert engine.system.splits == {"X′": "X"}
+        assert any(
+            action.virtual and action.obj == "X′" for action in tops[2].actions()
+        )
     assert verdicts == {True, False}

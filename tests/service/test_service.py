@@ -227,6 +227,15 @@ class TestAudit:
         assert not audit["ok"]
         assert audit["lost_commits"] == ["acme/phantom#0"]
 
+    def test_audit_flags_a_kept_commit_answered_otherwise(self, svc):
+        reply = svc.submit("acme", _ops(svc))
+        assert svc.audit()["unreported_commits"] == []
+        # Rewrite the answer the engine's commit got: the audit must see it.
+        svc.session("acme").settle(reply["label"], "error")
+        audit = svc.audit()
+        assert not audit["ok"]
+        assert audit["unreported_commits"] == [reply["label"]]
+
     def test_audit_flags_unsettled_admissions(self, svc):
         svc.session("acme").admit("acme/limbo#0")
         audit = svc.audit()

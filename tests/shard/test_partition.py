@@ -1,13 +1,21 @@
 """Static partitioning: call components, the shard map, workload splits."""
 
 from repro.fuzz.generator import GeneratorProfile, generate
-from repro.shard import ShardMap, call_components, split_ops, split_programs
+from repro.shard import ShardGroup, ShardMap, call_components, split_ops
 
 GROUPED = GeneratorProfile.smoke().grouped(2)
 
 
 def _spec(seed=0, profile=GROUPED):
     return generate(seed, profile)
+
+
+def _request(program) -> dict:
+    return {
+        "label": program.label,
+        "ops": program.ops,
+        "max_restarts": program.max_restarts,
+    }
 
 
 class TestCallComponents:
@@ -93,22 +101,33 @@ class TestSplits:
     def test_multi_labels_are_programs_spanning_shards(self):
         spec = _spec()
         shard_map = ShardMap.plan(spec, 2)
-        split = split_programs(spec, shard_map)
+        expected = {}
         for program in spec.programs:
             shards = {
                 shard_map.shard_of(op[1])
                 for op in program.ops
                 if op[0] == "send"
             }
+            assert set(split_ops(program.ops, shard_map)) == shards
             if len(shards) > 1:
-                assert split.multi[program.label] == tuple(sorted(shards))
-            else:
-                assert program.label not in split.multi
+                expected[program.label] = tuple(sorted(shards))
+        assert expected, "the grouped spec must span shards somewhere"
+        # The group enrolls exactly the spanning programs with the
+        # coordinator, with their sorted shard tuples.
+        group = ShardGroup(spec, "page-2pl", 2, seed=spec.seed)
+        group.run_batch([_request(program) for program in spec.programs])
+        assert group.coordinator.multi == expected
 
     def test_single_shard_split_has_no_multi(self):
         spec = _spec()
-        split = split_programs(spec, ShardMap.plan(spec, 1))
-        assert split.multi == {}
-        assert sorted(p.label for p in split.branches[0]) == sorted(
-            p.label for p in spec.programs
+        shard_map = ShardMap.plan(spec, 1)
+        for program in spec.programs:
+            assert split_ops(program.ops, shard_map) == {
+                0: [list(op) for op in program.ops]
+            }
+        group = ShardGroup(spec, "page-2pl", 1, seed=spec.seed)
+        outcomes = group.run_batch(
+            [_request(program) for program in spec.programs]
         )
+        assert group.coordinator.multi == {}
+        assert sorted(outcomes) == sorted(p.label for p in spec.programs)

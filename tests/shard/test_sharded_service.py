@@ -283,3 +283,52 @@ class TestFailedBatch:
             with pytest.raises(SimulationError, match="coordinator rounds"):
                 group.run_batch(self._requests(rng, catalog, 0))
         self._unwound_after_a_commit_verdict(group, catalog, rng)
+
+    def test_the_service_answers_every_kept_commit_committed(self):
+        """A failed batch through the service: unit 1's controller loop
+        fails once after its first epoch.  Every transaction the group
+        keeps as committed is answered "committed" — a kept commit answered
+        "error" is the service's second-worst lie — and the audit sees
+        every kept commit reported."""
+        svc = TransactionService(
+            ServiceConfig(protocol="page-2pl", seed=3, shards=2, batch_max=8)
+        )
+        executor = svc.db.units[1].executor
+        loop = executor._controller_loop
+        forced: list[str] = []
+
+        def fail_once():
+            status = loop()
+            if not forced:
+                forced.append(status)
+                raise SimulationError("forced controller failure")
+            return status
+
+        executor._controller_loop = fail_once
+        rng = random.Random("unwind")
+        catalog = svc.catalog()
+        # Queued before the engine starts: one batch of all eight.
+        pending = [
+            svc.submit_async(f"t{i % 2}", generate_ops(rng, catalog))
+            for i in range(8)
+        ]
+        with svc:
+            replies = [p.wait(60) for _, p in pending]
+        assert forced
+        assert svc._batches.value == 0  # the one batch failed
+        kept = {
+            base for unit in svc.db.units for base in unit.committed_attempts
+        }
+        assert kept, "the failure must hit after some commits"
+        answered = {r["label"] for r in replies if r["status"] == "committed"}
+        assert answered == kept
+        assert {r["status"] for r in replies} == {"committed", "error"}
+        audit = svc.audit()
+        assert audit["unreported_commits"] == [] and audit["ok"]
+        assert svc.certify().committed == len(kept)
+        # An answer edited by hand afterwards: the audit flags it.
+        label = sorted(kept)[0]
+        svc.session(label.split("/")[0]).settle(label, "error")
+        audit = svc.audit()
+        assert audit["unreported_commits"] == [label]
+        assert not audit["ok"]
