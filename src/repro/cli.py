@@ -319,8 +319,9 @@ def _build_fuzz_parser(subparsers) -> None:
         "--shards", type=int, default=1, metavar="N",
         help="run every cell on the sharded runtime with N shards over a "
         "grouped (cross-shard) workload, judged by the composed Def 15/16 "
-        "oracle; composes with --jobs, and at 1 the report is byte-"
-        "identical to the single-core campaign",
+        "oracle; composes with --jobs (and --service: each cell's service "
+        "runs N shards), and at 1 the report is byte-identical to the "
+        "single-core campaign",
     )
     parser.add_argument(
         "--max-violations", type=int, default=1,
@@ -384,7 +385,6 @@ def cmd_fuzz(args) -> int:
 
     if args.shards > 1 and (
         args.replay is not None
-        or args.service
         or args.crash
         or args.crash_ablate
         or args.crash_ablate_force
@@ -392,8 +392,8 @@ def cmd_fuzz(args) -> int:
         or args.trace_dir
     ):
         print(
-            "error: --shards composes with --jobs only; --replay, "
-            "--service, the crash modes, --certify and --trace-dir are "
+            "error: --shards composes with --jobs and --service only; "
+            "--replay, the crash modes, --certify and --trace-dir are "
             "single-core campaign features",
             file=sys.stderr,
         )
@@ -457,15 +457,16 @@ def cmd_fuzz(args) -> int:
 
     if campaign.shards > 1:
         # The shrinker minimizes single-core cells; a sharded violation is
-        # already seed-reproducible through the sharded runtime.
+        # already seed-reproducible as a one-cell campaign (ablation kept).
         violation = campaign.violations[0]
         print(
             f"violation: generator seed {violation.seed} under "
             f"{violation.protocol} at {campaign.shards} shards; "
-            f"reproduce with: python -m repro shard "
-            f"--seed {violation.seed} --protocol {violation.protocol} "
-            f"--shards {campaign.shards}"
+            f"reproduce with: python -m repro fuzz "
+            f"--seed {violation.seed} --shards {campaign.shards} "
+            f"--protocols {violation.protocol}"
             + (" --smoke" if args.smoke else "")
+            + (" --ablate" if args.ablate else "")
         )
         print(violation.report.description)
         return 1
@@ -518,6 +519,7 @@ def _cmd_fuzz_service(args, seeds) -> int:
         clients_per_tenant=args.clients_per_tenant,
         requests_per_client=args.requests_per_client,
         with_faults=not args.no_faults,
+        shards=args.shards,
     )
     header, rows = campaign.table()
     print(
@@ -526,6 +528,7 @@ def _cmd_fuzz_service(args, seeds) -> int:
             rows,
             title=f"service campaign, {len(seeds)} seed(s), "
             f"{len(tenants)} tenant(s)"
+            + (f", {args.shards} shards" if args.shards > 1 else "")
             + ("" if args.no_faults else ", faults armed"),
         )
     )

@@ -16,7 +16,8 @@ from the durable log prefix, and the **crash oracle** verifies:
    in-memory has a durable commit record (force-at-commit held).
 2. *Winner serializability*: the committed projection of the crashed
    trace over exactly the durable winners passes the Definition 10-16
-   analysis (per-protocol strictness, as in the schedule fuzzer).
+   analysis — the schedule fuzzer's own judge,
+   :func:`repro.fuzz.oracle.judge_committed`, per-protocol strictness.
 3. *State = serial replay of winners*: the recovered page store equals a
    from-scratch serial execution of the winners' programs.  Generated
    workload semantics are additive, so the serial state is
@@ -42,7 +43,6 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 
-from repro.core.serializability import analyze_system
 from repro.errors import ReproError, SimulatedCrash
 from repro.faults import (
     CRASH_SITES,
@@ -57,10 +57,9 @@ from repro.fuzz.generator import (
     generate,
     host_workload,
 )
-from repro.fuzz.oracle import strictness_for
+from repro.fuzz.oracle import judge_committed, strictness_for
 from repro.fuzz.parallel import iter_seed_results
 from repro.oodb.store import FileBackedPageStore
-from repro.oodb.trace import committed_history
 from repro.oodb.wal import RecoveryReport, WriteAheadLog, recover, store_digest
 from repro.runtime.executor import run_sequential
 from repro.runtime.program import base_label
@@ -337,14 +336,15 @@ def run_armed_cell(
             )
 
         # --- oracle check 2: winners are oo-serializable ----------------
-        verdict, _ = analyze_system(
-            *committed_history(result.db, set(recovery.winners)),
-            propagate_cross_object=strictness_for(protocol),
+        report, _, _ = judge_committed(
+            result.db,
+            set(recovery.winners),
+            strict_cross_object=strictness_for(protocol),
         )
-        if not verdict.oo_serializable:
+        if report.violation:
             outcome.violations.append(
                 "surviving committed history is not oo-serializable: "
-                + verdict.describe()
+                + report.description
             )
 
         # --- oracle check 3: state equals serial replay of winners ------

@@ -44,14 +44,13 @@ failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.core.commutativity import CommutativityRegistry, CommutativitySpec
 from repro.core.serializability import (
     analyze_system,
-    conventional_constraints,
-    conventional_serializable,
+    conventional_serialization_graph,
 )
 from repro.oodb.trace import committed_history
 
@@ -144,6 +143,40 @@ class OracleReport:
         return not self.oo_serializable
 
 
+def judge_committed(
+    db,
+    labels,
+    ablation: Ablation | None = None,
+    *,
+    strict_cross_object: bool = True,
+) -> tuple[OracleReport, set, set]:
+    """The one judgement of a committed history; every judge calls it.
+
+    Projects ``db``'s trace onto ``labels``, runs Definitions 10-16
+    (:func:`~repro.core.serializability.analyze_system`) and builds the
+    conventional page-conflict graph once, reading both its verdict and its
+    edges.  Returns the report (``gave_up`` is the caller's to set) and the
+    two label-pair constraint sets — Definition 15 top-order and page
+    conflict — that the sharded composition unions across shards.
+    """
+    projection, registry = committed_history(db, labels, ablation)
+    verdict, _schedules = analyze_system(
+        projection, registry, propagate_cross_object=strict_cross_object
+    )
+    conventional = conventional_serialization_graph(projection)
+    oo_edges = verdict.top_order_constraints
+    conv_edges = set(conventional.iter_edges())
+    report = OracleReport(
+        oo_serializable=verdict.oo_serializable,
+        conventional_serializable=conventional.is_acyclic(),
+        oo_constraints=len(oo_edges),
+        conventional_constraints=len(conv_edges),
+        committed=len(labels),
+        description=verdict.describe(),
+    )
+    return report, oo_edges, conv_edges
+
+
 def check_history(
     result: "ExecutionResult",
     ablation: Ablation | None = None,
@@ -151,19 +184,10 @@ def check_history(
     strict_cross_object: bool = True,
 ) -> OracleReport:
     """Judge one run's committed history against both criteria."""
-    projection, registry = committed_history(
-        result.db, result.committed_labels, ablation
+    report, _, _ = judge_committed(
+        result.db,
+        result.committed_labels,
+        ablation,
+        strict_cross_object=strict_cross_object,
     )
-    verdict, _schedules = analyze_system(
-        projection, registry, propagate_cross_object=strict_cross_object
-    )
-    conv_ok = conventional_serializable(projection)
-    return OracleReport(
-        oo_serializable=verdict.oo_serializable,
-        conventional_serializable=conv_ok,
-        oo_constraints=len(verdict.top_order_constraints),
-        conventional_constraints=len(conventional_constraints(projection)),
-        committed=len(result.committed_labels),
-        description=verdict.describe(),
-        gave_up=len(result.gave_up),
-    )
+    return replace(report, gave_up=len(result.gave_up))

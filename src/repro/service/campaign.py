@@ -10,8 +10,9 @@ bursts, all against deliberately tight tenant quotas so overload is real.
 After the fleet drains and the service stops, three judgments run:
 
 1. **Oracle** — the service's whole committed history goes through
-   :func:`repro.fuzz.oracle.check_history` (Definitions 10–16), with the
-   cross-object strictness the protocol warrants.  Any violation fails the
+   :meth:`TransactionService.certify` (Definitions 10–16; at more than one
+   shard, the composed sharded oracle), with the cross-object strictness
+   the protocol warrants.  Any violation fails the
    cell: concurrency bugs do not get to hide behind the front-end.
 2. **Ledger audit** — :meth:`TransactionService.audit`: no admitted
    transaction left unsettled, no "committed" answer whose transaction did
@@ -138,12 +139,14 @@ def run_service_cell(
     quota: TenantQuota = CAMPAIGN_QUOTA,
     deadline_ticks: int | None = 4000,
     session_read_timeout: float = 0.5,
+    shards: int = 1,
 ) -> ServiceCellOutcome:
     """Stand up, load, tear down, and judge one service cell."""
     cell = ServiceCellOutcome(seed=seed, protocol=protocol)
     config = ServiceConfig(
         protocol=protocol,
         seed=seed,
+        shards=shards,
         deadline_ticks=deadline_ticks,
         default_quota=quota,
         queue_capacity=8 * len(tenants),
@@ -196,6 +199,7 @@ def run_service_campaign(
     requests_per_client: int = 6,
     with_faults: bool = True,
     progress=None,
+    shards: int = 1,
 ) -> ServiceCampaignResult:
     """Every seed x protocol through a faulted multi-tenant service."""
     result = ServiceCampaignResult()
@@ -208,6 +212,7 @@ def run_service_campaign(
                 clients_per_tenant=clients_per_tenant,
                 requests_per_client=requests_per_client,
                 with_faults=with_faults,
+                shards=shards,
             )
             result.cells.append(cell)
             if progress is not None:

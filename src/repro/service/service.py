@@ -19,8 +19,10 @@ worker discipline, and the oracle needs the executed history.  Batching
 keeps both — concurrency *within* a batch is real (the executor interleaves
 the batch's transactions under the chosen protocol), while the service adds
 arrival concurrency, admission control and deadlines around it.  Every
-outcome is accumulated, so at shutdown the whole service run replays
-through :func:`repro.fuzz.oracle.check_history` like any fuzz cell.
+outcome is accumulated and the group keeps every commit, so at shutdown
+the whole service run is judged by the group's composed oracle — at one
+shard exactly :func:`repro.fuzz.oracle.check_history` of
+:meth:`TransactionService.history_result`, like any fuzz cell.
 
 Deadlines ride the executor's logical clock: a request admitted with a
 ``deadline_ticks`` budget gets ``deadline_tick = executor.now + budget``
@@ -51,7 +53,7 @@ from collections import deque
 from repro.core.certify import OnlineCertifier, certified_base
 from repro.errors import DatabaseError
 from repro.fuzz.generator import GeneratorProfile, generate, sharded_profile
-from repro.fuzz.oracle import check_history, strictness_for
+from repro.fuzz.oracle import strictness_for
 from repro.oodb.session import DatabaseSession
 from repro.oodb.wal import WriteAheadLog
 from repro.oodb.store import FileBackedPageStore
@@ -746,23 +748,16 @@ class TransactionService:
         continuously maintained one — no end-of-run replay — converted to
         the familiar :class:`~repro.fuzz.oracle.OracleReport` shape; on
         violation the canonical exact report (witnesses included) is
-        computed and returned instead.  ``exact=True`` or an ``ablation``
-        forces the full :func:`check_history` replay.
+        computed and returned instead.  ``exact=True``, an ``ablation`` or
+        no online audit judges with the group's exact oracle
+        (:meth:`~repro.shard.service.ShardGroup.certify`).
         """
-        if self.config.shards > 1:
-            return self._group.certify(ablation, gave_up=self._gave_up)
-        strict = strictness_for(self.config.protocol)
-        if ablation is not None or exact or self._certifier is None:
-            return check_history(
-                self.history_result(), ablation, strict_cross_object=strict
-            )
-        with self._certifier_lock:
-            report = self._certifier.report(gave_up=self._gave_up)
-        if report.violation:
-            report.oracle = check_history(
-                self.history_result(), None, strict_cross_object=strict
-            )
-        return report.as_oracle_report()
+        if ablation is None and not exact and self._certifier is not None:
+            with self._certifier_lock:
+                report = self._certifier.report(gave_up=self._gave_up)
+            if not report.violation:
+                return report.as_oracle_report()
+        return self._group.certify(ablation, gave_up=self._gave_up)
 
     def certification(self):
         """The raw online-audit state (fast/escalated counters), or None."""

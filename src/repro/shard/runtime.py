@@ -20,17 +20,17 @@ import os
 from dataclasses import dataclass, field
 
 from repro.fuzz.generator import WorkloadSpec
-from repro.fuzz.oracle import Ablation, OracleReport, strictness_for
+from repro.fuzz.oracle import (
+    Ablation,
+    OracleReport,
+    check_history,
+    strictness_for,
+)
 from repro.obs.events import EventBus, event_to_dict
 from repro.oodb.wal import WriteAheadLog
 from repro.runtime.program import base_label
 from repro.shard.coordinator import ABORT, COMMIT
-from repro.shard.service import (
-    ShardGroup,
-    ShardState,
-    compose_report,
-    judge_history,
-)
+from repro.shard.service import ShardGroup, ShardState, compose_report
 
 #: executor tick budget of one cell (the fuzz driver's ``execute_cell`` value)
 CELL_MAX_TICKS = 200_000
@@ -51,7 +51,7 @@ class ShardSummary:
     cross_aborts: list[str]
     restarts: int
     crashed: bool
-    #: the shard's :func:`~repro.shard.service.judge_history` tuple
+    #: the shard's :meth:`~repro.shard.service.ShardState.judge` triple
     judgement: tuple
     metrics: dict
     events: list = field(default_factory=list)
@@ -225,7 +225,6 @@ def assemble_result(
     coordinator_stats = coordinator.stats()
     report = compose_report(
         [summary.judgement for summary in summaries],
-        n_shards=group.n_shards,
         committed=len(committed),
         gave_up=len(gave_up),
         coord_violations=coordinator_stats["violations"],
@@ -341,9 +340,9 @@ def single_core_text(
 ) -> str:
     """The canonical cell report of a plain single-core execution.
 
-    Computes the same base-mapped fields the sharded formatter emits, so a
-    ``--shards 1`` run must reproduce this output byte for byte (the CI
-    ``shard-smoke`` check).
+    Judged by :func:`~repro.fuzz.oracle.check_history`, which is what a
+    one-shard group's composed report is, so a ``--shards 1`` run must
+    reproduce this output byte for byte (the CI ``shard-smoke`` check).
     """
     from repro.fuzz.driver import execute_cell
 
@@ -351,26 +350,17 @@ def single_core_text(
     bus = EventBus()
     bus.subscribe(lambda event: events.append(event_to_dict(event)))
     result = execute_cell(spec, protocol, max_ticks=CELL_MAX_TICKS, bus=bus)
-    committed = sorted(base_label(label) for label in result.committed_labels)
-    judgement = judge_history(
-        result.db, result.committed_labels, strictness_for(protocol), ablation
-    )
-    report = compose_report(
-        [judgement],
-        n_shards=1,
-        committed=len(committed),
-        gave_up=len(result.gave_up),
-        coord_violations=[],
-    )
     return format_cell_report(
         seed=spec.seed,
         protocol=protocol,
         shards=1,
-        committed=committed,
+        committed=sorted(base_label(lbl) for lbl in result.committed_labels),
         gave_up=sorted(o.label for o in result.gave_up),
         cross_aborts=[],
         makespan=result.makespan,
-        report=report,
+        report=check_history(
+            result, ablation, strict_cross_object=strictness_for(protocol)
+        ),
         coordinator={},
         events=events,
     )

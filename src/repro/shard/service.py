@@ -21,7 +21,8 @@ also aligns the logical clocks: the global tick is the max of every unit's
 
 The verdict composes the same way for a cell and for a service run
 (:func:`compose_report`): objects never span shards, so every unit's
-committed projection must pass the local Def 10-14 analysis and the
+committed projection must pass the local Def 10-14 analysis — the fuzz
+oracle's own :func:`~repro.fuzz.oracle.judge_committed` — and the
 base-mapped union of their Definition 15 constraint sets must stay acyclic.
 The online per-batch certifier is a single-history device and runs only at
 one shard; at more, :meth:`ShardGroup.certify` is the audit surface.
@@ -32,14 +33,15 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.graph import OnlineTopology
-from repro.core.serializability import (
-    analyze_system,
-    conventional_constraints,
-    conventional_serializable,
-)
+from repro.core.serializability import analyze_system
 from repro.errors import SimulationError
 from repro.fuzz.generator import WorkloadSpec, host_workload
-from repro.fuzz.oracle import Ablation, OracleReport, strictness_for
+from repro.fuzz.oracle import (
+    Ablation,
+    OracleReport,
+    judge_committed,
+    strictness_for,
+)
 from repro.obs.events import EventBus, event_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.oodb.trace import committed_history
@@ -64,43 +66,6 @@ _SEED_STRIDE = 100_003
 
 #: coordinator rounds one batch may take before it is declared livelocked
 MAX_ROUNDS = 10_000
-
-
-# ---------------------------------------------------------------------------
-# the local (per-database) half of the verdict
-# ---------------------------------------------------------------------------
-
-
-def _base_edges(constraints) -> list:
-    """Map attempt-level constraint pairs to sorted base-label pairs."""
-    edges = {
-        (base_label(src), base_label(dst)) for src, dst in constraints
-    }
-    return sorted((src, dst) for src, dst in edges if src != dst)
-
-
-def _analysis(db, labels, strict: bool, ablation: Ablation | None):
-    """The Def 10-14 analysis of ``db``'s history projected onto ``labels``."""
-    projection, registry = committed_history(db, labels, ablation)
-    verdict, _ = analyze_system(
-        projection, registry, propagate_cross_object=strict
-    )
-    return projection, verdict
-
-
-def judge_history(
-    db, labels, strict: bool, ablation: Ablation | None = None
-) -> tuple[bool, bool, list, list]:
-    """``(oo_ok, conv_ok, oo_edges, conv_edges)`` of one database's committed
-    history: the local verdicts plus the base-mapped Definition 15 (and
-    page-conflict) constraints that :func:`compose_report` unions."""
-    projection, verdict = _analysis(db, labels, strict, ablation)
-    return (
-        verdict.oo_serializable,
-        conventional_serializable(projection),
-        _base_edges(verdict.top_order_constraints),
-        _base_edges(conventional_constraints(projection)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +221,20 @@ class ShardState:
         for base, attempt in ex.prepared_attempts.items():
             if ex.decisions.get(base) != ABORT:
                 labels.add(attempt)
-        _, verdict = _analysis(self.db, labels, self.strict, self.ablation)
+        verdict, _ = analyze_system(
+            *committed_history(self.db, labels, self.ablation),
+            propagate_cross_object=self.strict,
+        )
         return _base_edges(verdict.top_order_constraints)
 
     def judge(self, ablation: Ablation | None = None):
-        """:func:`judge_history` of everything this shard has committed."""
-        return judge_history(
+        """:func:`~repro.fuzz.oracle.judge_committed` of everything this
+        shard has committed: ``(report, oo_edges, conv_edges)``."""
+        return judge_committed(
             self.db,
             set(self.committed_attempts.values()),
-            self.strict,
             ablation,
+            strict_cross_object=self.strict,
         )
 
 
@@ -307,6 +276,14 @@ def drive_epochs(
             )
 
 
+def _base_edges(constraints) -> list:
+    """Map attempt-level constraint pairs to sorted base-label pairs."""
+    edges = {
+        (base_label(src), base_label(dst)) for src, dst in constraints
+    }
+    return sorted((src, dst) for src, dst in edges if src != dst)
+
+
 def _acyclic(edges) -> bool:
     topology: OnlineTopology[str] = OnlineTopology()
     for src, dst in edges:
@@ -317,17 +294,16 @@ def _acyclic(edges) -> bool:
 def compose_report(
     judgements: list,
     *,
-    n_shards: int,
     committed: int,
     gave_up: int,
     coord_violations: list,
     atomicity: list[str] | tuple = (),
 ) -> OracleReport:
-    """Definition 16 at global scope, from the per-shard halves.
+    """Definition 16 at global scope, from the per-shard judgements.
 
     Objects never span shards, so the merged system's object schedules are
-    exactly the per-shard ones; given each shard's :func:`judge_history`
-    tuple the sharded verdict is therefore
+    exactly the per-shard ones; given each shard's
+    :meth:`ShardState.judge` triple the sharded verdict is therefore
 
     - every shard's committed projection passes the local Def 10-14
       analysis (per-protocol strictness), AND
@@ -337,19 +313,24 @@ def compose_report(
     - the coordinator never witnessed a committed-only cycle.
 
     The conventional baseline composes the same way over page-conflict
-    constraints.
+    constraints.  One shard with nothing to add is its own report, so a
+    one-shard verdict is :func:`~repro.fuzz.oracle.check_history`'s.
     """
-    oo_edges = sorted({tuple(e) for j in judgements for e in j[2]})
-    conv_edges = sorted({tuple(e) for j in judgements for e in j[3]})
+    if len(judgements) == 1 and not coord_violations and not atomicity:
+        return replace(judgements[0][0], committed=committed, gave_up=gave_up)
+    oo_edges = _base_edges(e for j in judgements for e in j[1])
+    conv_edges = _base_edges(e for j in judgements for e in j[2])
     oo_ok = (
-        all(j[0] for j in judgements)
+        all(report.oo_serializable for report, _, _ in judgements)
         and _acyclic(oo_edges)
         and not coord_violations
         and not atomicity
     )
-    conv_ok = all(j[1] for j in judgements) and _acyclic(conv_edges)
+    conv_ok = all(
+        report.conventional_serializable for report, _, _ in judgements
+    ) and _acyclic(conv_edges)
     parts = [
-        f"{committed} committed across {n_shards} shard(s)",
+        f"{committed} committed across {len(judgements)} shard(s)",
         "globally oo-serializable" if oo_ok else "OO-SERIALIZABILITY VIOLATED",
     ]
     if atomicity:
@@ -532,7 +513,6 @@ class ShardGroup:
             committed.update(unit.committed_attempts)
         return compose_report(
             [unit.judge(ablation) for unit in self.units],
-            n_shards=self.n_shards,
             committed=len(committed),
             gave_up=gave_up,
             coord_violations=self.coordinator.violations,

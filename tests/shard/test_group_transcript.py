@@ -101,11 +101,18 @@ def test_batches_without_cross_shard_requests_skip_the_def15_report(
     from repro.shard import service as shard_service
 
     analyses = []
-    real = shard_service._analysis
+    real = shard_service.analyze_system
     monkeypatch.setattr(
         shard_service,
-        "_analysis",
-        lambda *args: analyses.append(args) or real(*args),
+        "analyze_system",
+        lambda *args, **kw: analyses.append(args) or real(*args, **kw),
+    )
+    judged = []
+    real_judge = shard_service.ShardState.judge
+    monkeypatch.setattr(
+        shard_service.ShardState,
+        "judge",
+        lambda unit, *args: judged.append(unit) or real_judge(unit, *args),
     )
     for n_shards in (1, 2):
         spec = generate(SEED, GeneratorProfile().grouped(n_shards))
@@ -127,4 +134,4 @@ def test_batches_without_cross_shard_requests_skip_the_def15_report(
         assert analyses == []
         assert group.coordinator.stats()["rounds"] == 0
     assert not group.certify().violation
-    assert analyses, "the audit surface still runs the analysis"
+    assert judged, "the audit surface still runs the analysis"

@@ -5,6 +5,7 @@ import pytest
 
 from repro.fuzz import FUZZ_PROTOCOLS
 from repro.fuzz.generator import GeneratorProfile, generate
+from repro.fuzz.oracle import Ablation
 from repro.shard import run_sharded_cell, single_core_text
 
 SMOKE = GeneratorProfile.smoke()
@@ -70,3 +71,14 @@ class TestComposedOracle:
             else:
                 assert verdict == ABORT
                 assert base not in committed
+
+    def test_ablated_entry_is_caught_by_the_composed_oracle(self):
+        """Self-test of the composed Def 15/16 oracle: the cell the ablated
+        sharded campaign (``fuzz --seeds 40 --smoke --ablate --shards 2``)
+        fails on violates under the first-leaf ablation, and only under
+        it."""
+        spec = generate(32, GROUPED)
+        ablation = Ablation(object_name=spec.leaf_objects[0].name)
+        ablated = run_sharded_cell(spec, "multilevel", 2, ablation=ablation)
+        assert ablated.report.violation
+        assert run_sharded_cell(spec, "multilevel", 2).ok

@@ -442,6 +442,30 @@ def test_shard_two_shards_reports_coordination():
     assert "coordinator: rounds=" in output
 
 
+def test_fuzz_sharded_violation_hint_reproduces_it():
+    """The command a sharded violation prints must fail the same way: the
+    ablation that found the violation is part of the cell."""
+    code, output = run_cli(
+        "fuzz", "--seed", "32", "--smoke", "--ablate", "--shards", "2",
+        "--protocols", "multilevel",
+    )
+    assert code == 1
+    hint = output.split("reproduce with: python -m repro ")[1].splitlines()[0]
+    code, output = run_cli(*hint.split())
+    assert code == 1, hint
+    assert "OO-SERIALIZABILITY VIOLATED" in output
+
+
+def test_fuzz_service_composes_with_shards():
+    code, output = run_cli(
+        "fuzz", "--service", "--seeds", "1", "--shards", "2",
+        "--protocols", "open-nested-oo", "--requests-per-client", "3",
+    )
+    assert code == 0, output
+    assert "2 shards" in output
+    assert "no oracle violations, no lost admitted commits" in output
+
+
 def test_fuzz_shards_reject_single_core_modes(capsys):
     code, _ = run_cli(
         "fuzz", "--smoke", "--seeds", "1", "--shards", "2", "--certify"
