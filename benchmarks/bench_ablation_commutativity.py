@@ -33,7 +33,7 @@ from repro.core.commutativity import (
     ConflictAll,
     ReadWriteCommutativity,
 )
-from repro.core.serializability import conventional_constraints
+from repro.core.serializability import conventional_baseline
 from repro.workloads import (
     EncyclopediaWorkload,
     build_encyclopedia_workload,
@@ -76,7 +76,7 @@ def run_ablation():
     conventional = len(
         {
             pair
-            for pair in conventional_constraints(result.db.system)
+            for pair in conventional_baseline(result.db.system).constraints
             if pair[0] in committed and pair[1] in committed
         }
     )

@@ -21,7 +21,7 @@ from _harness import emit
 
 from repro.analysis.reporting import render_table
 from repro.core import analyze_system
-from repro.core.serializability import conventional_constraints
+from repro.core.serializability import conventional_baseline
 from repro.scenarios import scenario_commuting_inserts, scenario_same_key_conflict
 
 
@@ -49,7 +49,7 @@ def build_figure4_report() -> tuple[str, dict]:
                 )
             )
             rows.append([oid, deps or "(none — inheritance stopped)"])
-        conv = sorted(conventional_constraints(scenario.system))
+        conv = sorted(conventional_baseline(scenario.system).constraints)
         oo = sorted(verdict.top_order_constraints)
         rows.append(["top-level (conventional)", str(conv)])
         rows.append(["top-level (oo)", str(oo)])

@@ -20,7 +20,7 @@ from _harness import emit
 
 from repro.analysis.reporting import render_table
 from repro.core import analyze_system
-from repro.core.serializability import conventional_serializable
+from repro.core.serializability import conventional_baseline
 from repro.scenarios import example4_system
 from repro.scenarios.example4 import figure8_rows
 
@@ -33,7 +33,8 @@ def build_figure78_report():
         figure8_rows(schedules),
         title="Figure 8 — dependencies per object (consistent interleaving)",
     )
-    summary_rows = [["consistent", conventional_serializable(scenario.system),
+    conventional = conventional_baseline(scenario.system).serializable
+    summary_rows = [["consistent", conventional,
                      verdict.oo_serializable, str(verdict.serial_order)]]
 
     anomalous = example4_system(anomalous=True)
@@ -45,7 +46,7 @@ def build_figure78_report():
     summary_rows.append(
         [
             "anomalous",
-            conventional_serializable(anomalous.system),
+            conventional_baseline(anomalous.system).serializable,
             verdict_anom.oo_serializable,
             f"literal Def15/16 verdict: {verdict_literal.oo_serializable}",
         ]

@@ -24,7 +24,7 @@ from _harness import emit
 from repro.analysis.reporting import render_table
 from repro.core import analyze_system
 from repro.core.commutativity import CommutativityRegistry, ReadWriteCommutativity
-from repro.core.serializability import conventional_serializable
+from repro.core.serializability import conventional_baseline
 from repro.core.transactions import TransactionSystem
 from repro.scenarios import example4_system
 
@@ -53,7 +53,7 @@ def build_scenarios():
         ("cross-object-cycle", cross_object_cycle),
     ):
         system, registry = build()
-        conventional = conventional_serializable(system)
+        conventional = conventional_baseline(system).serializable
         closure_verdict, _ = analyze_system(system, registry)
         system2, registry2 = build()
         literal_verdict, _ = analyze_system(

@@ -10,7 +10,7 @@ Run:  python examples/paper_example1.py
 
 from repro.analysis.reporting import render_table
 from repro.core import analyze_system
-from repro.core.serializability import conventional_constraints
+from repro.core.serializability import conventional_baseline
 from repro.scenarios import scenario_commuting_inserts, scenario_same_key_conflict
 
 
@@ -24,8 +24,9 @@ def show(title, build):
     print()
     for oid in ("Page4712", "Leaf11", "BpTree"):
         print(schedules[oid].describe())
+    conventional = conventional_baseline(scenario.system).constraints
     rows = [
-        ["conventional", sorted(conventional_constraints(scenario.system))],
+        ["conventional", sorted(conventional)],
         ["oo-serializability", sorted(verdict.top_order_constraints)],
     ]
     print()

@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core.commutativity import MatrixCommutativity
-from repro.core.serializability import conventional_constraints
+from repro.core.serializability import conventional_baseline
 from repro.locking import OpenNestedLocking
 from repro.oodb import DatabaseObject, ObjectDatabase, dbmethod
 from repro.runtime import InterleavedExecutor, TransactionProgram
@@ -83,7 +83,7 @@ def main() -> None:
     print(f"equivalent serial order: {verdict.serial_order}")
     print(f"oo top-level constraints:          {sorted(verdict.top_order_constraints)}")
     print(f"conventional top-level constraints: "
-          f"{sorted(conventional_constraints(db.system))}")
+          f"{sorted(conventional_baseline(db.system).constraints)}")
     print("\nThe stores commute (different keys), so oo-serializability "
           "imposes no top-level order — the page-level criterion would.")
 

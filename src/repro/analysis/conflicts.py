@@ -3,25 +3,25 @@
 Given an *executed* trace (a transaction system plus its commutativity
 registry), compare what the two correctness criteria demand:
 
-- the **conventional** criterion counts every cross-transaction pair of
-  primitive actions on one object that is not read/read as a conflict, and
-  each such pair as an ordering constraint between the top-level
-  transactions;
+- the **conventional** criterion
+  (:func:`~repro.core.serializability.conventional_baseline`) counts every
+  pair of real primitive actions on one object that is not read/read as a
+  conflict, and each cross-transaction one as an ordering constraint
+  between the top-level transactions;
 - **oo-serializability** runs the Definition 10/11 inheritance and counts
   only the constraints that survive to the top level (dependencies that
   stop at a commuting level are dropped).
 
-``conflict_rate_reduction`` is the paper's "lower rate of conflicting
-accesses" in one number.
+``ConflictStatistics.constraint_reduction`` is the paper's "lower rate of
+conflicting accesses" in one number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.actions import same_process
 from repro.core.commutativity import CommutativityRegistry
-from repro.core.serializability import analyze_system, conventional_constraints
+from repro.core.serializability import analyze_system, conventional_baseline
 from repro.core.transactions import TransactionSystem
 
 
@@ -66,36 +66,6 @@ class ConflictStatistics:
         ]
 
 
-def count_conventional_pairs(
-    system: TransactionSystem,
-    read_methods: tuple[str, ...] = ("read",),
-    tops: set[str] | None = None,
-) -> int:
-    """Cross-transaction conflicting primitive pairs (page-level R/W),
-    optionally restricted to the given top-level transactions."""
-    primitives = sorted(
-        (
-            a
-            for a in system.all_actions()
-            if a.is_primitive and (tops is None or a.top in tops)
-        ),
-        key=lambda a: (a.seq, a.aid),
-    )
-    by_object: dict[str, list] = {}
-    for action in primitives:
-        by_object.setdefault(action.obj, []).append(action)
-    count = 0
-    for actions in by_object.values():
-        for i, first in enumerate(actions):
-            for second in actions[i + 1 :]:
-                if first.top == second.top and same_process(first, second):
-                    continue
-                if first.method in read_methods and second.method in read_methods:
-                    continue
-                count += 1
-    return count
-
-
 def count_oo_conflicting_pairs(schedules, tops: set[str] | None = None) -> int:
     """Semantically conflicting dependency edges recorded at any object."""
     total = 0
@@ -118,31 +88,25 @@ def conflict_statistics(
     top-level transaction labels (aborted attempts are excluded by passing
     an :class:`ExecutionResult`'s ``committed_labels``).  Restriction is by
     *ignoring* other transactions' contributions, not by rebuilding the
-    trace.
+    trace; the conventional side, verdict included, reads only the given
+    transactions.
     """
-    from repro.core.serializability import conventional_serializable
-
     verdict, schedules = analyze_system(system, registry)
-    conv_constraints = conventional_constraints(system)
+    conventional = conventional_baseline(system, tops=committed_only)
     oo_constraints = verdict.top_order_constraints
     if committed_only is not None:
-        conv_constraints = {
-            pair
-            for pair in conv_constraints
-            if pair[0] in committed_only and pair[1] in committed_only
-        }
         oo_constraints = {
             pair
             for pair in oo_constraints
             if pair[0] in committed_only and pair[1] in committed_only
         }
     return ConflictStatistics(
-        conventional_pairs=count_conventional_pairs(system, tops=committed_only),
-        conventional_top_constraints=len(conv_constraints),
+        conventional_pairs=conventional.pairs,
+        conventional_top_constraints=len(conventional.constraints),
         oo_conflicting_pairs=count_oo_conflicting_pairs(
             schedules, tops=committed_only
         ),
         oo_top_constraints=len(oo_constraints),
-        conventional_serializable=conventional_serializable(system),
+        conventional_serializable=conventional.serializable,
         oo_serializable=verdict.oo_serializable,
     )

@@ -34,11 +34,11 @@ from repro.core.graph import DirectedGraph
 from repro.core.identifiers import SYSTEM_OBJECT, is_virtual, virtual_object_id
 from repro.core.schedule import ObjectSchedule
 from repro.core.serializability import (
+    ConventionalBaseline,
     ObjectVerdict,
     SystemVerdict,
     analyze_system,
-    conventional_serializable,
-    conventional_serialization_graph,
+    conventional_baseline,
 )
 from repro.core.transactions import OOTransaction, TransactionSystem
 
@@ -47,6 +47,7 @@ __all__ = [
     "CommutativityRegistry",
     "CommutativitySpec",
     "ConflictAll",
+    "ConventionalBaseline",
     "DirectedGraph",
     "EscrowCommutativity",
     "ExtensionResult",
@@ -61,8 +62,7 @@ __all__ = [
     "SystemVerdict",
     "TransactionSystem",
     "analyze_system",
-    "conventional_serializable",
-    "conventional_serialization_graph",
+    "conventional_baseline",
     "extend_system",
     "format_action_id",
     "is_virtual",

@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from repro.core.commutativity import CommutativityRegistry
-from repro.core.serializability import analyze_system, conventional_serializable
+from repro.core.serializability import analyze_system, conventional_baseline
 from repro.core.transactions import TransactionSystem
 
 #: builds a *fresh* system + registry; called once per enumerated schedule
@@ -143,7 +143,7 @@ def classify_schedules(
             positions[stream] += 1
         system.order_primitives(sequence)
 
-        conventional = conventional_serializable(system)
+        conventional = conventional_baseline(system).serializable
         verdict, _ = analyze_system(
             system, registry, propagate_cross_object=propagate_cross_object
         )

@@ -23,13 +23,14 @@ claim (bench C1).
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from repro.core.actions import ActionNode, same_process
 from repro.core.commutativity import CommutativityRegistry
 from repro.core.dependency import IncrementalDependencyEngine
 from repro.core.graph import DirectedGraph
-from repro.core.identifiers import ObjectId
+from repro.core.identifiers import ObjectId, original_object_id
 from repro.core.schedule import ObjectSchedule
 from repro.core.transactions import TransactionSystem
 
@@ -207,50 +208,64 @@ def equivalent(first: ObjectSchedule, second: ObjectSchedule) -> bool:
 # -- the conventional baseline -------------------------------------------------
 
 
-def conventional_serialization_graph(
-    system: TransactionSystem,
-    read_methods: tuple[str, ...] = ("read",),
-) -> DirectedGraph:
-    """Conflict-order-preserving serializability over primitive actions.
+#: the one method the baseline reads as a page read; every other is a write
+READ = "read"
+
+
+@dataclass(frozen=True)
+class ConventionalBaseline:
+    """Conflict-order-preserving serializability over page reads and writes.
 
     This is the criterion the paper calls "too restrictive" (Example 1):
-    every pair of primitive actions of different top-level transactions on
-    one object conflicts unless both are reads, and each such pair imposes an
-    edge between the top-level transactions in execution order.  Intra-
-    transaction pairs never conflict (same-process rule).
+    two primitive actions on one object conflict unless both are reads.  A
+    conflicting pair of different top-level transactions orders them in
+    execution order (``constraints``); ``pairs`` also counts a pair between
+    concurrent processes of one transaction (Definition 9), which orders
+    nothing.  ``serializable`` is the acyclicity of ``constraints``.
     """
-    graph: DirectedGraph = DirectedGraph()
-    for txn in system.tops:
-        graph.add_node(txn.label)
-    primitives = sorted(
-        (a for a in system.all_actions() if a.is_primitive),
-        key=lambda a: (a.seq, a.aid),
+
+    constraints: set[tuple[str, str]]
+    pairs: int
+    serializable: bool
+
+
+def conventional_baseline(
+    system: TransactionSystem, tops: Collection[str] | None = None
+) -> ConventionalBaseline:
+    """The conventional criterion on ``system``'s executed primitives.
+
+    Only real actions count: Definition 5's virtual duplicates are skipped,
+    an action they hang off still counts as primitive, and a primitive
+    moved to a virtual object ``O′`` is judged on its home object ``O``.
+    The result therefore does not depend on whether an analysis extended
+    ``system`` first.  ``tops`` restricts the history to the given
+    top-level transactions.  One pass groups the primitives by object,
+    sorts each group once and reads constraints, pair count and verdict
+    from the same pairs.
+    """
+    by_object: dict[ObjectId, list[ActionNode]] = {}
+    for action in system.all_actions():
+        if action.virtual or (tops is not None and action.top not in tops):
+            continue
+        if any(not child.virtual for child in action.children):
+            continue
+        by_object.setdefault(original_object_id(action.obj), []).append(action)
+    constraints: set[tuple[str, str]] = set()
+    pairs = 0
+    for group in by_object.values():
+        group.sort(key=lambda a: (a.seq, a.aid))
+        for i, first in enumerate(group):
+            reads = first.method == READ
+            for second in group[i + 1 :]:
+                if reads and second.method == READ:
+                    continue
+                if first.top != second.top:
+                    constraints.add((first.top, second.top))
+                elif same_process(first, second):
+                    continue
+                pairs += 1
+    return ConventionalBaseline(
+        constraints=constraints,
+        pairs=pairs,
+        serializable=DirectedGraph(constraints).is_acyclic(),
     )
-    for i, first in enumerate(primitives):
-        for second in primitives[i + 1 :]:
-            if first.obj != second.obj:
-                continue
-            if first.top == second.top and same_process(first, second):
-                continue
-            if first.method in read_methods and second.method in read_methods:
-                continue
-            if first.top != second.top:
-                graph.add_edge(first.top, second.top)
-    return graph
-
-
-def conventional_serializable(
-    system: TransactionSystem,
-    read_methods: tuple[str, ...] = ("read",),
-) -> bool:
-    """True iff the schedule is conventionally conflict-serializable."""
-    return conventional_serialization_graph(system, read_methods).is_acyclic()
-
-
-def conventional_constraints(
-    system: TransactionSystem,
-    read_methods: tuple[str, ...] = ("read",),
-) -> set[tuple[str, str]]:
-    """The ordering constraints the conventional criterion imposes."""
-    return set(conventional_serialization_graph(system, read_methods).iter_edges())
-

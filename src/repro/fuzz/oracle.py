@@ -48,10 +48,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.core.commutativity import CommutativityRegistry, CommutativitySpec
-from repro.core.serializability import (
-    analyze_system,
-    conventional_serialization_graph,
-)
+from repro.core.serializability import analyze_system, conventional_baseline
 from repro.oodb.trace import committed_history
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -153,22 +150,22 @@ def judge_committed(
     """The one judgement of a committed history; every judge calls it.
 
     Projects ``db``'s trace onto ``labels``, runs Definitions 10-16
-    (:func:`~repro.core.serializability.analyze_system`) and builds the
-    conventional page-conflict graph once, reading both its verdict and its
-    edges.  Returns the report (``gave_up`` is the caller's to set) and the
-    two label-pair constraint sets — Definition 15 top-order and page
-    conflict — that the sharded composition unions across shards.
+    (:func:`~repro.core.serializability.analyze_system`) and the
+    conventional page-conflict baseline once, reading both its verdict and
+    its constraints.  Returns the report (``gave_up`` is the caller's to
+    set) and the two label-pair constraint sets — Definition 15 top-order
+    and page conflict — that the sharded composition unions across shards.
     """
     projection, registry = committed_history(db, labels, ablation)
     verdict, _schedules = analyze_system(
         projection, registry, propagate_cross_object=strict_cross_object
     )
-    conventional = conventional_serialization_graph(projection)
+    conventional = conventional_baseline(projection)
     oo_edges = verdict.top_order_constraints
-    conv_edges = set(conventional.iter_edges())
+    conv_edges = conventional.constraints
     report = OracleReport(
         oo_serializable=verdict.oo_serializable,
-        conventional_serializable=conventional.is_acyclic(),
+        conventional_serializable=conventional.serializable,
         oo_constraints=len(oo_edges),
         conventional_constraints=len(conv_edges),
         committed=len(labels),

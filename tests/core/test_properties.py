@@ -28,7 +28,7 @@ from repro.core.commutativity import (
     ReadWriteCommutativity,
 )
 from repro.core.extension import extend_system, find_offending_action
-from repro.core.serializability import conventional_serializable
+from repro.core.serializability import conventional_baseline
 from repro.core.transactions import TransactionSystem
 
 PAGES = [f"Page{i}" for i in range(4)]
@@ -129,7 +129,7 @@ def build_system(programs, interleave_seed=None):
 def test_serial_execution_always_serializable(programs):
     system = build_system(programs)  # construction order == serial order
     verdict, schedules = analyze_system(system, registry())
-    assert conventional_serializable(system)
+    assert conventional_baseline(system).serializable
     assert verdict.oo_serializable
     for sched in schedules.values():
         assert sched.is_conform()
@@ -139,7 +139,7 @@ def test_serial_execution_always_serializable(programs):
 @given(transaction_programs(), st.integers(min_value=0, max_value=2**16))
 def test_conventionally_serializable_implies_oo_serializable(programs, seed):
     system = build_system(programs, interleave_seed=seed)
-    if conventional_serializable(system):
+    if conventional_baseline(system).serializable:
         verdict, _ = analyze_system(system, registry())
         assert verdict.oo_serializable, (
             "oo-serializability must admit every conventionally "
@@ -150,11 +150,9 @@ def test_conventionally_serializable_implies_oo_serializable(programs, seed):
 @settings(max_examples=60, deadline=None)
 @given(transaction_programs(), st.integers(min_value=0, max_value=2**16))
 def test_oo_constraints_subset_of_conventional(programs, seed):
-    from repro.core.serializability import conventional_constraints
-
     system = build_system(programs, interleave_seed=seed)
     verdict, _ = analyze_system(system, registry())
-    conventional = conventional_constraints(system)
+    conventional = conventional_baseline(system).constraints
     # Each oo top-level constraint must have a conventional counterpart:
     # semantic reasoning can only drop constraints, never invent them.
     assert verdict.top_order_constraints <= conventional

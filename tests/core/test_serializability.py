@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.core import analyze_system
+from repro.core import analyze_system, extend_system, is_virtual
 from repro.core.serializability import (
-    conventional_constraints,
-    conventional_serializable,
-    conventional_serialization_graph,
+    conventional_baseline,
     equivalent,
     judge_object,
 )
@@ -38,13 +36,13 @@ class TestExample1Verdicts:
         for build in (scenario_commuting_inserts, scenario_same_key_conflict):
             scenario = build()
             verdict, _ = analyze_system(scenario.system, scenario.registry)
-            conventional = conventional_constraints(scenario.system)
+            conventional = conventional_baseline(scenario.system).constraints
             assert verdict.top_order_constraints <= conventional
 
     def test_headline_claim_fewer_constraints(self):
         scenario = scenario_commuting_inserts()
         verdict, _ = analyze_system(scenario.system, scenario.registry)
-        conventional = conventional_constraints(scenario.system)
+        conventional = conventional_baseline(scenario.system).constraints
         assert len(verdict.top_order_constraints) < len(conventional)
 
 
@@ -90,7 +88,7 @@ class TestExample4:
 
     def test_anomalous_variant_not_conventionally_serializable(self):
         scenario = example4_system(anomalous=True)
-        assert not conventional_serializable(scenario.system)
+        assert not conventional_baseline(scenario.system).serializable
 
     def test_describe_mentions_every_object(self):
         scenario = example4_system()
@@ -174,7 +172,7 @@ class TestConventionalBaseline:
         t1.call("Page2", "write")
         t2.call("Page1", "write")
         t2.call("Page2", "write")
-        assert conventional_serializable(system)
+        assert conventional_baseline(system).serializable
 
     def test_write_cycle_is_not_serializable(self):
         system = TransactionSystem()
@@ -185,7 +183,7 @@ class TestConventionalBaseline:
         c = t1.call("Page2", "write")
         d = t2.call("Page1", "write")
         system.order_primitives([a, b, c, d])
-        assert not conventional_serializable(system)
+        assert not conventional_baseline(system).serializable
 
     def test_reads_do_not_conflict(self):
         system = TransactionSystem()
@@ -194,16 +192,14 @@ class TestConventionalBaseline:
         a = t1.call("Page1", "read")
         b = t2.call("Page1", "read")
         system.order_primitives([a, b])
-        graph = conventional_serialization_graph(system)
-        assert graph.edges == set()
+        assert conventional_baseline(system).constraints == set()
 
     def test_intra_transaction_pairs_ignored(self):
         system = TransactionSystem()
         t1 = system.transaction("T1")
         t1.call("Page1", "write")
         t1.call("Page1", "write")
-        graph = conventional_serialization_graph(system)
-        assert graph.edges == set()
+        assert conventional_baseline(system).constraints == set()
 
     def test_only_primitive_actions_considered(self):
         system = TransactionSystem()
@@ -212,9 +208,32 @@ class TestConventionalBaseline:
         outer.call("Page1", "write")
         t2 = system.transaction("T2")
         t2.call("Doc", "edit").call("Page2", "write")
-        graph = conventional_serialization_graph(system)
         # the Doc.edit wrappers are not primitive; no shared page -> no edge
-        assert graph.edges == set()
+        assert conventional_baseline(system).constraints == set()
+
+    def test_extension_does_not_move_the_baseline(self):
+        # T1's O.leaf has a call ancestor on O, so Definition 5 moves it to
+        # O′ and hangs virtual duplicates of O's other actions off them.
+        system = TransactionSystem()
+        t1 = system.transaction("T1")
+        t2 = system.transaction("T2")
+        moved = t1.call("O", "outer").call("Q", "x").call("O", "leaf")
+        t1_page = t1.call("P", "write")
+        t2_outer = t2.call("O", "outer")
+        t2_page = t2_outer.call("P", "write")
+        t2_leaf = t2.call("O", "leaf")
+        system.order_primitives([moved, t1_page, t2_page, t2_leaf])
+        before = conventional_baseline(system)
+        assert before.constraints == {("T1", "T2")}
+        assert before.pairs == 2  # P: write/write, O: leaf/leaf
+
+        extension = extend_system(system)
+        assert extension.moved == [moved] and is_virtual(moved.obj)
+        assert not t2_leaf.is_primitive  # it now calls its duplicate on O′
+        # T2's O.outer duplicate on O′ is stamped before the moved leaf:
+        # counted as an access, it would order T2 before T1.
+        assert conventional_baseline(system) == before
+        assert before.serializable
 
 
 def test_analyze_system_skips_extension_on_request():

@@ -63,6 +63,19 @@ def test_admission_rate_delta():
         campaign.tallies["open-nested-oo"].oo_only
         >= campaign.tallies["page-2pl"].oo_only
     )
+    # strict page 2PL orders every page conflict: nothing is oo-only
+    assert campaign.tallies["page-2pl"].oo_only == 0
+
+
+@pytest.mark.parametrize("protocol", ["page-2pl", "closed-nested"])
+@pytest.mark.parametrize("seed", [11, 25])
+def test_page_level_2pl_is_conventionally_serializable(seed, protocol):
+    """Default-profile cells whose Definition 5 virtual duplicates once
+    counted as page accesses and made the baseline reject a strict
+    page-2PL history."""
+    _, report = run_cell(generate(seed, GeneratorProfile()), protocol)
+    assert not report.violation
+    assert report.conventional_serializable
 
 
 def test_generator_is_deterministic():

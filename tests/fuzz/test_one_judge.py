@@ -4,8 +4,8 @@ verdict goes through :func:`repro.fuzz.oracle.judge_committed`.
 A one-shard :class:`~repro.shard.service.ShardGroup` and the service's
 ``certify(exact=True)`` must report exactly what
 :func:`~repro.fuzz.oracle.check_history` reports for the same history —
-field for field, description included — and one judgement builds the
-conventional page-conflict graph once.
+field for field, description included — and one judgement runs the
+conventional page-conflict baseline once.
 """
 
 import random
@@ -84,20 +84,16 @@ def test_service_exact_certify_is_check_history(protocol):
 
 
 def _count_graph_builds(monkeypatch) -> list:
-    """Count conventional-graph builds wherever the judges reach them."""
+    """Count conventional-baseline runs wherever the judges reach them."""
     builds = []
-    real = serializability.conventional_serialization_graph
+    real = serializability.conventional_baseline
 
     def counting(*args, **kwargs):
         builds.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(
-        serializability, "conventional_serialization_graph", counting
-    )
-    monkeypatch.setattr(
-        oracle, "conventional_serialization_graph", counting, raising=False
-    )
+    monkeypatch.setattr(serializability, "conventional_baseline", counting)
+    monkeypatch.setattr(oracle, "conventional_baseline", counting, raising=False)
     return builds
 
 

@@ -12,7 +12,7 @@ import functools
 import pytest
 
 from repro.analysis.compare import run_one
-from repro.core.serializability import conventional_serializable
+from repro.core.serializability import conventional_baseline
 from repro.oodb.trace import analyze_committed, committed_projection
 from repro.structures.verify import verify_encyclopedia
 from repro.workloads import (
@@ -93,7 +93,7 @@ def test_page_protocols_give_conventionally_serializable_histories(protocol):
         seed=2,
     )
     projection = committed_projection(result.db.system, result.committed_labels)
-    assert conventional_serializable(projection)
+    assert conventional_baseline(projection).serializable
 
 
 def test_committed_projection_contents():

@@ -9,9 +9,8 @@ from repro.analysis import (
     render_table,
 )
 from repro.analysis.compare import run_one
-from repro.analysis.conflicts import count_conventional_pairs
 from repro.analysis.reporting import render_kv
-from repro.core import analyze_system
+from repro.core import analyze_system, conventional_baseline
 from repro.core.transactions import TransactionSystem
 from repro.oodb import ObjectDatabase
 from repro.runtime import InterleavedExecutor, TransactionProgram
@@ -77,14 +76,38 @@ class TestConflictStatistics:
         assert stats.oo_top_constraints == 1
         assert stats.constraint_reduction == 0.0
 
-    def test_count_conventional_pairs(self):
+    def test_conventional_pair_count(self):
         system = TransactionSystem()
         t1 = system.transaction("T1")
         t2 = system.transaction("T2")
         t1.call("P", "write")
         t2.call("P", "write")
         t2.call("P", "read")
-        assert count_conventional_pairs(system) == 2  # w/w and w/r
+        assert conventional_baseline(system).pairs == 2  # w/w and w/r
+        # two concurrent branches of one transaction: a pair, but no edge
+        t1.call("Q", "write")
+        t1.call("Q", "write", parallel=True)
+        baseline = conventional_baseline(system)
+        assert baseline.pairs == 3
+        assert baseline.constraints == {("T1", "T2")}
+
+    def test_committed_only_verdict_ignores_excluded_transactions(self):
+        # T1.w(P1), X.w(P1), X.w(P2), T1.w(P2): a conventional cycle
+        # through X — which did not commit.
+        system = TransactionSystem()
+        t1 = system.transaction("T1")
+        x = system.transaction("X")
+        a = t1.call("P1", "write")
+        b = x.call("P1", "write")
+        c = x.call("P2", "write")
+        d = t1.call("P2", "write")
+        system.order_primitives([a, b, c, d])
+        stats = conflict_statistics(
+            system, encyclopedia_registry(), committed_only={"T1"}
+        )
+        assert not conventional_baseline(system).serializable
+        assert stats.conventional_serializable
+        assert stats.conventional_top_constraints == 0
 
     def test_committed_only_filter(self):
         scenario = scenario_same_key_conflict()
