@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from repro.core.commutativity import CommutativityRegistry
 from repro.core.serializability import analyze_system, conventional_baseline
 from repro.core.transactions import TransactionSystem
+from repro.oodb.trace import committed_projection
 
 
 @dataclass
@@ -66,16 +67,6 @@ class ConflictStatistics:
         ]
 
 
-def count_oo_conflicting_pairs(schedules, tops: set[str] | None = None) -> int:
-    """Semantically conflicting dependency edges recorded at any object."""
-    total = 0
-    for sched in schedules.values():
-        for src, dst in sched.txn_dep.edges:
-            if tops is None or (src.top in tops and dst.top in tops):
-                total += 1
-    return total
-
-
 def conflict_statistics(
     system: TransactionSystem,
     registry: CommutativityRegistry,
@@ -86,27 +77,22 @@ def conflict_statistics(
 
     ``committed_only`` restricts the conventional/oo comparison to the given
     top-level transaction labels (aborted attempts are excluded by passing
-    an :class:`ExecutionResult`'s ``committed_labels``).  Restriction is by
-    *ignoring* other transactions' contributions, not by rebuilding the
-    trace; the conventional side, verdict included, reads only the given
-    transactions.
+    an :class:`ExecutionResult`'s ``committed_labels``).  Both sides then
+    judge the :func:`~repro.oodb.trace.committed_projection` — counts and
+    verdicts alike read only the given transactions, as every other judge
+    of a committed history does.
     """
-    verdict, schedules = analyze_system(system, registry)
-    conventional = conventional_baseline(system, tops=committed_only)
-    oo_constraints = verdict.top_order_constraints
     if committed_only is not None:
-        oo_constraints = {
-            pair
-            for pair in oo_constraints
-            if pair[0] in committed_only and pair[1] in committed_only
-        }
+        system = committed_projection(system, committed_only)
+    verdict, schedules = analyze_system(system, registry)
+    conventional = conventional_baseline(system)
     return ConflictStatistics(
         conventional_pairs=conventional.pairs,
         conventional_top_constraints=len(conventional.constraints),
-        oo_conflicting_pairs=count_oo_conflicting_pairs(
-            schedules, tops=committed_only
+        oo_conflicting_pairs=sum(
+            len(sched.txn_dep.edges) for sched in schedules.values()
         ),
-        oo_top_constraints=len(oo_constraints),
+        oo_top_constraints=len(verdict.top_order_constraints),
         conventional_serializable=conventional.serializable,
         oo_serializable=verdict.oo_serializable,
     )

@@ -841,7 +841,7 @@ def cmd_recover(args) -> int:
     if wal_path is None:
         wal_path = os.path.join(args.data_dir, "wal.jsonl")
     wal = WriteAheadLog.load(wal_path)
-    verify_log(wal.to_list())
+    verify_log(wal.records)
     store = None
     if args.data_dir is not None:
         from repro.oodb.store import FileBackedPageStore

@@ -55,13 +55,19 @@ class Invocation:
         return f"{self.obj}.{self.method}({rendered_args})"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ActionNode:
     """One action in an oo-transaction tree.
 
     Identity is by object identity (two nodes with equal fields are still
     distinct actions); ``aid`` is unique within a transaction system and used
     for ordering and display.
+
+    Committed trees stay in memory for the life of a service (the judges
+    read every action), so a node is slotted and a primitive one allocates
+    no container: ``children`` stays ``()`` and ``precedence`` stays
+    ``frozenset()`` until the first child or edge replaces them with a list
+    and a set.
     """
 
     aid: ActionId
@@ -78,11 +84,15 @@ class ActionNode:
     state: object = None
     virtual: bool = False
     original: Optional["ActionNode"] = None
-    children: list["ActionNode"] = field(default_factory=list)
+    children: list["ActionNode"] | tuple = ()
     #: precedence edges among direct children, as pairs of child aids
-    precedence: set[tuple[ActionId, ActionId]] = field(default_factory=set)
+    precedence: set[tuple[ActionId, ActionId]] | frozenset = frozenset()
     #: set by the builder: next seq number source (root nodes only)
     _seq_counter: list[int] | None = None
+    #: transitive closure of ``precedence``; reset by every mutation
+    _closure_cache: set[tuple[ActionId, ActionId]] | None = field(
+        default=None, init=False, repr=False
+    )
 
     # -- construction ------------------------------------------------------
 
@@ -112,10 +122,12 @@ class ActionNode:
             top=self.top,
             seq=self._next_seq() if seq is None else seq,
         )
-        if self.children and not parallel:
-            self.precedence.add((self.children[-1].aid, child.aid))
-        self.children.append(child)
-        self._closure_cache = None
+        if not self.children:
+            self.children = [child]
+        else:
+            if not parallel:
+                self._add_edge((self.children[-1].aid, child.aid))
+            self.children.append(child)
         return child
 
     def add_precedence(self, before: "ActionNode", after: "ActionNode") -> None:
@@ -126,7 +138,13 @@ class ActionNode:
             )
         if before is after:
             raise ModelError("an action cannot precede itself")
-        self.precedence.add((before.aid, after.aid))
+        self._add_edge((before.aid, after.aid))
+
+    def _add_edge(self, edge: tuple[ActionId, ActionId]) -> None:
+        if self.precedence:
+            self.precedence.add(edge)
+        else:
+            self.precedence = {edge}
         self._closure_cache = None
 
     def _next_seq(self) -> int:
@@ -209,7 +227,7 @@ class ActionNode:
         precedence edge is added (sequential builders would otherwise pay a
         quadratic closure per query).
         """
-        cached = getattr(self, "_closure_cache", None)
+        cached = self._closure_cache
         if cached is not None:
             return cached
         successors: dict[ActionId, set[ActionId]] = {}

@@ -177,5 +177,8 @@ def _duplicate(peer: ActionNode, virtual_object: ObjectId) -> ActionNode:
         virtual=True,
         original=peer,
     )
-    peer.children.append(duplicate)
+    if peer.children:
+        peer.children.append(duplicate)
+    else:
+        peer.children = [duplicate]
     return duplicate

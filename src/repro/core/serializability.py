@@ -23,7 +23,6 @@ claim (bench C1).
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from repro.core.actions import ActionNode, same_process
@@ -229,23 +228,20 @@ class ConventionalBaseline:
     serializable: bool
 
 
-def conventional_baseline(
-    system: TransactionSystem, tops: Collection[str] | None = None
-) -> ConventionalBaseline:
+def conventional_baseline(system: TransactionSystem) -> ConventionalBaseline:
     """The conventional criterion on ``system``'s executed primitives.
 
     Only real actions count: Definition 5's virtual duplicates are skipped,
     an action they hang off still counts as primitive, and a primitive
     moved to a virtual object ``O′`` is judged on its home object ``O``.
     The result therefore does not depend on whether an analysis extended
-    ``system`` first.  ``tops`` restricts the history to the given
-    top-level transactions.  One pass groups the primitives by object,
-    sorts each group once and reads constraints, pair count and verdict
-    from the same pairs.
+    ``system`` first.  One pass groups the primitives by object, sorts each
+    group once and reads constraints, pair count and verdict from the same
+    pairs.
     """
     by_object: dict[ObjectId, list[ActionNode]] = {}
     for action in system.all_actions():
-        if action.virtual or (tops is not None and action.top not in tops):
+        if action.virtual:
             continue
         if any(not child.virtual for child in action.children):
             continue

@@ -409,15 +409,18 @@ class ObjectDatabase:
             self.wal.sync()
         # 2. Release the subtree's locks and erase it from the call tree —
         #    an aborted subtransaction never happened.
-        removed = parent_frame.node.children[children_before:]
-        del parent_frame.node.children[children_before:]
+        parent = parent_frame.node
+        removed = parent.children[children_before:]
+        if not removed:
+            return
+        del parent.children[children_before:]
         removed_aids = {node.aid for node in removed}
-        parent_frame.node.precedence = {
+        parent.precedence = {
             (before, after)
-            for before, after in parent_frame.node.precedence
+            for before, after in parent.precedence
             if before not in removed_aids and after not in removed_aids
         }
-        parent_frame.node._closure_cache = None
+        parent._closure_cache = None
         for node in removed:
             for action in node.iter_subtree():
                 self.scheduler.release_all_for(ctx, action)

@@ -86,6 +86,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -109,6 +112,108 @@ if TYPE_CHECKING:  # pragma: no cover
 PHYSICAL_TYPES = frozenset({"alloc", "dealloc", "set", "del"})
 
 
+def _parse(line: bytes) -> dict:
+    """One JSONL line back into its record (the only place records parse)."""
+    return json.loads(line)
+
+
+def _file_size(path: str) -> int:
+    try:
+        return os.path.getsize(path)
+    except FileNotFoundError:
+        return 0
+
+
+class LogFile(Sequence):
+    """A log's durable prefix left on disk: one byte offset per record.
+
+    The records a file-mode log has synced are already in its file, so
+    keeping a dict copy of each would hold the whole history in memory a
+    second time.  This sequence keeps only their offsets (8 bytes each) and
+    parses a record when it is read: an index or a slice parses just the
+    records it covers, iteration streams them one at a time.  Records
+    appended with no file behind them (:meth:`extend`, a loaded log that
+    recovery extends in memory) stay in a list tail after the file's.
+    Each read returns a fresh dict; it compares equal to a list of records.
+    """
+
+    __slots__ = ("path", "_offsets", "_end", "_tail")
+
+    def __init__(self, path: str, offsets: Iterable[int] = (), end: int = 0):
+        self.path = path
+        self._offsets = array("q", offsets)
+        #: file size after the last indexed line: the next line's offset
+        self._end = end
+        self._tail: list[dict] = []
+
+    def add_lines(self, lines: list[bytes]) -> None:
+        """Index lines just appended to the file, in order."""
+        if self._tail:
+            raise DatabaseError(
+                f"{self.path}: cannot index file records after in-memory ones"
+            )
+        offsets, end = self._offsets, self._end
+        for line in lines:
+            offsets.append(end)
+            end += len(line)
+        self._end = end
+
+    def extend(self, records: list[dict]) -> None:
+        """Keep records that have no file line in the in-memory tail."""
+        self._tail.extend(records)
+
+    def _read(self, start: int, stop: int) -> Iterator[dict]:
+        """Parse the file's records ``start .. stop - 1`` in order."""
+        if start >= stop:
+            return
+        offsets = self._offsets
+        with open(self.path, "rb") as fh:
+            position = -1
+            for index in range(start, stop):
+                offset = offsets[index]
+                if offset != position:
+                    fh.seek(offset)
+                line = fh.readline()
+                position = offset + len(line)
+                yield _parse(line)
+
+    def __len__(self) -> int:
+        return len(self._offsets) + len(self._tail)
+
+    def __iter__(self) -> Iterator[dict]:
+        yield from self._read(0, len(self._offsets))
+        yield from self._tail
+
+    def __getitem__(self, index):
+        on_disk = len(self._offsets)
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError("log record slices take no step")
+            records = list(self._read(start, min(stop, on_disk)))
+            records.extend(
+                self._tail[max(start - on_disk, 0) : max(stop - on_disk, 0)]
+            )
+            return records
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("log record index out of range")
+        if index >= on_disk:
+            return self._tail[index - on_disk]
+        return next(self._read(index, index + 1))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"<LogFile {self.path!r}: {len(self)} records>"
+
+
 class WriteAheadLog:
     """An append-only log with explicit sync points.
 
@@ -116,12 +221,22 @@ class WriteAheadLog:
     to the durable prefix (and, in file mode, to disk).  :meth:`crash`
     models the system dying: the buffer is lost, the durable prefix is all
     recovery will ever see.
+
+    ``records`` is the durable prefix.  With no ``path`` it is a list of
+    the record dicts.  With a ``path`` it is a :class:`LogFile`: the synced
+    records live only in the file, and memory holds one offset per record,
+    so a long-running durable service does not keep its history twice.
+    :meth:`load` builds the same view over an existing file without
+    parsing it, which is what lets :func:`recover` parse only the tail it
+    replays.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         #: the durable prefix — everything a crash cannot take away
-        self.records: list[dict] = []
+        self.records: list[dict] | LogFile = (
+            [] if path is None else LogFile(path, end=_file_size(path))
+        )
         self._buffer: list[dict] = []
         self._crashed = False
         #: lazily opened, kept across syncs: one buffered write + one flush
@@ -200,19 +315,20 @@ class WriteAheadLog:
             return
         if self.path is not None:
             if self._fh is None:
-                self._fh = open(self.path, "a")
-            self._fh.write(
-                "".join(
-                    json.dumps(record, sort_keys=True) + "\n"
-                    for record in self._buffer
-                )
-            )
+                self._fh = open(self.path, "ab")
+            lines = [
+                json.dumps(record, sort_keys=True).encode() + b"\n"
+                for record in self._buffer
+            ]
+            self._fh.write(b"".join(lines))
             self._fh.flush()
+            self.records.add_lines(lines)
+        else:
+            self.records.extend(self._buffer)
         flushed = len(self._buffer)
         for record in self._buffer:
             if record.get("t") == "ckpt-end":
                 self._durable_ckpt = record
-        self.records.extend(self._buffer)
         self._buffer = []
         if self._n_syncs is not None:
             self._n_syncs.value += 1
@@ -289,16 +405,33 @@ class WriteAheadLog:
 
     @classmethod
     def load(cls, path: str) -> "WriteAheadLog":
-        """Read a JSONL log file back into an in-memory durable prefix."""
+        """Open a JSONL log file as the durable prefix of a path-less log.
+
+        One pass indexes the file's lines without parsing them; the only
+        record parsed here is the last ``ckpt-end`` (recovery starts from
+        it).  Records the loaded log appends stay in memory, so recovering
+        a loaded log never modifies its file unless the caller re-attaches
+        ``path`` — which must then be this same file.
+        """
         wal = cls()
-        with open(path) as fh:
+        offsets = array("q")
+        checkpoints: list[int] = []
+        end = 0
+        with open(path, "rb") as fh:
             for line in fh:
-                line = line.strip()
-                if line:
-                    record = json.loads(line)
-                    if record.get("t") == "ckpt-end":
-                        wal._durable_ckpt = record
-                    wal.records.append(record)
+                if line.strip():
+                    if b'"ckpt-end"' in line:
+                        checkpoints.append(len(offsets))
+                    offsets.append(end)
+                end += len(line)
+        wal.records = LogFile(path, offsets, end)
+        for index in reversed(checkpoints):
+            # A candidate line only mentions the string; the record's type
+            # decides (a slot value may read "ckpt-end" too).
+            record = wal.records[index]
+            if record.get("t") == "ckpt-end":
+                wal._durable_ckpt = record
+                break
         return wal
 
     @classmethod
@@ -562,28 +695,23 @@ class AnalysisState:
         return state
 
 
-def _redo(records: list[dict], store) -> int:
-    """Pass 2: repeat history — rebuild the page store from scratch."""
-    store.reset()
-    applied = 0
-    for rec in records:
-        t = rec["t"]
-        if t not in PHYSICAL_TYPES:
-            continue
-        applied += 1
-        if t == "alloc":
-            store.install(Page(rec["page"], rec["capacity"]))
-        elif t == "dealloc":
-            store.remove(rec["page"])
-        elif t == "set":
-            store.get(rec["page"]).slots[rec["slot"]] = rec["value"]
-        else:  # del
-            store.get(rec["page"]).slots.pop(rec["slot"], None)
-    return applied
+def _redo(rec: dict, store) -> int:
+    """Pass 2: repeat history — apply one physical record unconditionally
+    (the page store was reset, so it is rebuilt from genesis)."""
+    t = rec["t"]
+    if t == "alloc":
+        store.install(Page(rec["page"], rec["capacity"]))
+    elif t == "dealloc":
+        store.remove(rec["page"])
+    elif t == "set":
+        store.get(rec["page"]).slots[rec["slot"]] = rec["value"]
+    else:  # del
+        store.get(rec["page"]).slots.pop(rec["slot"], None)
+    return 1
 
 
-def _redo_durable(records: list[dict], store, start: int) -> int:
-    """Pass 2, durable flavor: conditional redo from ``start``.
+def _redo_durable(rec: dict, store) -> int:
+    """Pass 2, durable flavor: conditional redo of one physical record.
 
     History is repeated only where the durable page images have not already
     witnessed it: a record is applied iff its LSN exceeds the target page's
@@ -591,40 +719,36 @@ def _redo_durable(records: list[dict], store, start: int) -> int:
     absence means a later ``dealloc`` (≥ redo start) removed the page, and
     that dealloc's own conditional check already ran or will run.
     """
-    applied = 0
-    for rec in records[start:]:
-        t = rec["t"]
-        if t not in PHYSICAL_TYPES:
-            continue
-        page_id, lsn = rec["page"], rec["lsn"]
-        page_lsn = store.page_lsn(page_id)
-        if t == "alloc":
-            if page_lsn is None or page_lsn < lsn:
-                store.install(Page(page_id, rec["capacity"]))
-                store.note_write(page_id, lsn)
-                applied += 1
-        elif t == "dealloc":
-            if page_lsn is not None and page_lsn < lsn:
-                store.remove(page_id)
-                applied += 1
-        else:
-            if page_lsn is None or page_lsn >= lsn:
-                continue
-            page = store.get(page_id)
-            if t == "set":
-                page.slots[rec["slot"]] = rec["value"]
-            else:  # del
-                page.slots.pop(rec["slot"], None)
-            store.note_write(page_id, lsn)
-            applied += 1
-    return applied
+    t = rec["t"]
+    page_id, lsn = rec["page"], rec["lsn"]
+    page_lsn = store.page_lsn(page_id)
+    if t == "alloc":
+        if page_lsn is not None and page_lsn >= lsn:
+            return 0
+        store.install(Page(page_id, rec["capacity"]))
+        store.note_write(page_id, lsn)
+    elif t == "dealloc":
+        if page_lsn is None or page_lsn >= lsn:
+            return 0
+        store.remove(page_id)
+    else:
+        if page_lsn is None or page_lsn >= lsn:
+            return 0
+        page = store.get(page_id)
+        if t == "set":
+            page.slots[rec["slot"]] = rec["value"]
+        else:  # del
+            page.slots.pop(rec["slot"], None)
+        store.note_write(page_id, lsn)
+    return 1
 
 
-def _durable_redo_start(ckpt: dict, records: list[dict]) -> int:
+def _durable_redo_start(ckpt: dict, tail: list[dict]) -> int:
     """Where conditional redo must begin: min(recLSN) over the dirty-page
-    table reconstructed from the checkpoint's DPT plus the log tail."""
+    table reconstructed from the checkpoint's DPT plus the log ``tail``
+    (the records after the checkpoint)."""
     dpt = dict(ckpt["dpt"])
-    for rec in records[ckpt["lsn"] + 1 :]:
+    for rec in tail:
         if rec["t"] in PHYSICAL_TYPES and rec["page"] not in dpt:
             dpt[rec["page"]] = rec["lsn"]
     return min(dpt.values()) if dpt else ckpt["lsn"] + 1
@@ -667,9 +791,14 @@ def recover(
     resumes from the last complete fuzzy checkpoint's transaction table and
     redo is *conditional* from min(recLSN) — pages whose images already
     witnessed a record (pageLSN ≥ LSN) are skipped, so recovery cost tracks
-    the WAL tail, not all history.  The log is reopened and recovery appends
-    its own records to it, so crashing *during* recovery (via ``faults``)
-    and calling :func:`recover` again converges to the same state.
+    the WAL tail, not all history.  So does its memory: recovery copies no
+    log, reads only ``records[min(redo_start, ckpt.lsn + 1):]`` after a
+    checkpoint (each record once) and streams the log once from genesis —
+    over a :class:`LogFile` (a file-mode or :meth:`WriteAheadLog.load`-ed
+    log) that is the number of records parsed from disk.  The log is
+    reopened and recovery appends its own records to it, so crashing
+    *during* recovery (via ``faults``) and calling :func:`recover` again
+    converges to the same state.
     ``skip_compensation`` is the ablation hook: a recovery that "forgets"
     compensation replay, which the crash oracle must catch.
     """
@@ -685,21 +814,38 @@ def recover(
             fault_hit=db._fault_hit,
             metrics=db.metrics,
         )
-    # A cheap pointer copy, NOT to_list(): recovery never mutates existing
-    # records, and an O(history) dict-copy here would defeat the flatness
-    # the checkpoint buys.
-    records = list(wal.records)
+    # No copy of the log: recovery reads only the records it replays (a
+    # file-mode log parses them from disk on access), and its own appends
+    # land after the count taken here.
+    records = wal.records
     report = RecoveryReport(records=len(records))
+    redo = _redo_durable if durable else _redo
 
     ckpt = wal.durable_checkpoint() if durable else None
     if ckpt is not None:
+        # Analysis folds in the tail after the checkpoint; redo starts at
+        # min(recLSN), which may reach back before it.  Each record from
+        # the earlier of the two is parsed once.
         state = AnalysisState.from_dict(ckpt["att"])
         tail_start = ckpt["lsn"] + 1
+        replay = records[tail_start:]
+        for rec in replay:
+            state.observe(rec)
+        redo_start = _durable_redo_start(ckpt, replay)
+        if redo_start < tail_start:
+            replay = records[redo_start:tail_start] + replay
+        report.redo_applied = sum(
+            redo(rec, db.store) for rec in replay if rec["t"] in PHYSICAL_TYPES
+        )
     else:
+        # From genesis: one streamed pass analyses and redoes each record.
         state = AnalysisState()
-        tail_start = 0
-    for rec in records[tail_start:]:
-        state.observe(rec)
+        if not durable:
+            db.store.reset()
+        for rec in records:
+            state.observe(rec)
+            if rec["t"] in PHYSICAL_TYPES:
+                report.redo_applied += redo(rec, db.store)
     if durable:
         # Adopt the state as the WAL's running analysis *before* the undo
         # loop: recovery's own appends (undo records, comp-done, abort-done)
@@ -713,15 +859,6 @@ def recover(
     report.winners = list(state.winner_order)
     report.finished_aborts = sorted(state.aborted)
     report.losers = list(losers)
-
-    if ckpt is not None:
-        report.redo_applied = _redo_durable(
-            records, db.store, _durable_redo_start(ckpt, records)
-        )
-    elif durable:
-        report.redo_applied = _redo_durable(records, db.store, 0)
-    else:
-        report.redo_applied = _redo(records, db.store)
 
     # One backward pass over everything that must be physically or
     # semantically unwound: the losers' surviving journal entries AND the
@@ -831,8 +968,10 @@ def store_digest(store) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def verify_log(records: list[dict]) -> None:
-    """Sanity-check a record stream (used by the CLI before recovery)."""
+def verify_log(records: Iterable[dict]) -> None:
+    """Sanity-check a record stream (used by the CLI before recovery).
+
+    Streams: a file-mode log's records are parsed one at a time."""
     for i, rec in enumerate(records):
         if "t" not in rec:
             raise DatabaseError(f"WAL record {i} has no type: {rec!r}")

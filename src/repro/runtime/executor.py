@@ -197,7 +197,6 @@ class _Worker:
                 self.outcome.attempts = attempt + 1
                 ctx = db.begin(self.program.attempt_label(attempt))
                 ctx.stats.begin_tick = executor.now
-                ctx.runtime_data["worker"] = self
                 api = ProgramAPI(db, ctx, executor)
                 try:
                     self.program.body(api)

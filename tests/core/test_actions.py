@@ -204,3 +204,20 @@ def test_standalone_action_node_seq_counter():
     child1 = root.call("P", "one")
     child2 = root.call("P", "two")
     assert child2.seq > child1.seq
+
+
+def test_primitive_node_allocates_no_container():
+    # Committed trees stay in memory for the life of a service: a leaf
+    # carries no empty list or set, and no per-instance dict.
+    system = TransactionSystem()
+    txn = system.transaction("T1")
+    leaf = txn.call("P1", "write")
+    assert leaf.children == ()
+    assert leaf.precedence == frozenset()
+    assert not hasattr(leaf, "__dict__")
+    # the first child and the first edge allocate the containers
+    first = leaf.call("Q", "read")
+    assert leaf.children == [first] and leaf.precedence == frozenset()
+    second = leaf.call("Q", "read")
+    assert leaf.precedence == {(first.aid, second.aid)}
+    assert first.precedes_sibling(second)

@@ -92,8 +92,8 @@ class TestConflictStatistics:
         assert baseline.constraints == {("T1", "T2")}
 
     def test_committed_only_verdict_ignores_excluded_transactions(self):
-        # T1.w(P1), X.w(P1), X.w(P2), T1.w(P2): a conventional cycle
-        # through X — which did not commit.
+        # T1.w(P1), X.w(P1), X.w(P2), T1.w(P2): a cycle through X, on
+        # both sides — and X did not commit.
         system = TransactionSystem()
         t1 = system.transaction("T1")
         x = system.transaction("X")
@@ -108,6 +108,11 @@ class TestConflictStatistics:
         assert not conventional_baseline(system).serializable
         assert stats.conventional_serializable
         assert stats.conventional_top_constraints == 0
+        assert not analyze_system(system, encyclopedia_registry())[
+            0
+        ].oo_serializable
+        assert stats.oo_serializable
+        assert stats.oo_top_constraints == 0
 
     def test_committed_only_filter(self):
         scenario = scenario_same_key_conflict()
