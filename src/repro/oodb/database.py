@@ -612,6 +612,11 @@ class ObjectDatabase:
         bus = self.bus
         if bus.active:
             bus.emit(TxnCommit(txn=ctx.txn_id, tick=bus.now()))
+        self._checkpoint_if_due()
+
+    def _checkpoint_if_due(self) -> None:
+        """Checkpoint every ``checkpoint_every`` records; asked after each
+        commit and each ``abort-done``, so aborting runs checkpoint too."""
         if (
             self.checkpoint_every is not None
             and self.wal is not None
@@ -698,6 +703,7 @@ class ObjectDatabase:
         bus = self.bus
         if bus.active:
             bus.emit(TxnAbort(txn=ctx.txn_id, reason=reason, tick=bus.now()))
+        self._checkpoint_if_due()
 
     def _consume_entry(self, ctx: TransactionContext, entry) -> None:
         """Process one journal entry of a rollback, logging progress.

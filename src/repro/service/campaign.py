@@ -10,9 +10,9 @@ bursts, all against deliberately tight tenant quotas so overload is real.
 After the fleet drains and the service stops, three judgments run:
 
 1. **Oracle** — the service's whole committed history goes through
-   :meth:`TransactionService.certify` (Definitions 10–16; at more than one
-   shard, the composed sharded oracle), with the cross-object strictness
-   the protocol warrants.  Any violation fails the
+   :meth:`TransactionService.certify` (Definitions 10–16: the online audit,
+   at every shard count, and the composed exact oracle on a violation),
+   with the cross-object strictness the protocol warrants.  Any violation fails the
    cell: concurrency bugs do not get to hide behind the front-end.
 2. **Ledger audit** — :meth:`TransactionService.audit`: no admitted
    transaction left unsettled, no "committed" answer whose transaction did

@@ -9,20 +9,21 @@ thread** drains them in batches onto one persistent
 :class:`~repro.shard.service.ShardGroup` — the engine at every shard
 count.  At one shard the group is one deterministic executor over one
 :class:`~repro.oodb.database.ObjectDatabase`, and ``db`` / ``executor``
-are that unit's own (the durable data dir, the online audit and the exact
-oracle all live there); at N shards ``db`` is the group itself, which
-duck-types the catalog and metrics surface the front half reads.
+are that unit's own (the durable data dir and the audit's metrics live
+there); at N shards ``db`` is the group itself, which duck-types the
+catalog and metrics surface the front half reads.  At every shard count
+each settled batch is audited online by the group
+(:meth:`~repro.shard.service.ShardGroup.audit_batch`).
 
 Why batches on deterministic executors rather than a thread per client
 transaction: the paper's schedulers assume the simulator's one-runnable-
 worker discipline, and the oracle needs the executed history.  Batching
 keeps both — concurrency *within* a batch is real (the executor interleaves
 the batch's transactions under the chosen protocol), while the service adds
-arrival concurrency, admission control and deadlines around it.  Every
-outcome is accumulated and the group keeps every commit, so at shutdown
-the whole service run is judged by the group's composed oracle — at one
-shard exactly :func:`repro.fuzz.oracle.check_history` of
-:meth:`TransactionService.history_result`, like any fuzz cell.
+arrival concurrency, admission control and deadlines around it.  The group
+keeps every commit, so ``certify(exact=True)`` judges the whole run with
+its composed oracle — at one shard exactly
+:func:`repro.fuzz.oracle.check_history`, like any fuzz cell.
 
 Deadlines ride the executor's logical clock: a request admitted with a
 ``deadline_ticks`` budget gets ``deadline_tick = executor.now + budget``
@@ -50,10 +51,8 @@ from dataclasses import dataclass, field
 
 from collections import deque
 
-from repro.core.certify import OnlineCertifier, certified_base
 from repro.errors import DatabaseError
 from repro.fuzz.generator import GeneratorProfile, generate, sharded_profile
-from repro.fuzz.oracle import strictness_for
 from repro.oodb.session import DatabaseSession
 from repro.oodb.wal import WriteAheadLog
 from repro.oodb.store import FileBackedPageStore
@@ -340,21 +339,6 @@ class TransactionService:
             "committed transactions certified by the online audit",
         )
         self._certifier_lock = threading.Lock()
-        self._certifier: OnlineCertifier | None = None
-        if self.config.online_certify and self.config.shards == 1:
-            # The online audit: every settled batch's commits are certified
-            # in the engine thread, one certifier epoch per batch.  Between
-            # two batches nothing is in flight and the shared stamp clock
-            # only moves forward, so the batch is sealed once it is fed and
-            # the certifier holds at most batch_max trees (_certify_batch).
-            # It is a single-history device; the composed sharded oracle
-            # (ShardGroup.certify) is the audit surface of a shard group.
-            self._certifier = OnlineCertifier(
-                certified_base(self.db.system),
-                self.db.commutativity_registry().copy(),
-                strict_cross_object=strictness_for(self.config.protocol),
-                metrics=self.db.metrics,
-            )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -608,42 +592,17 @@ class TransactionService:
                 self._settle(request, outcome)
             else:
                 self._settle_error(request, failure)
-        self._certify_batch(outcomes.values())
-
-    def _certify_batch(self, outcomes) -> None:
-        """The online audit step: certify this batch's commits incrementally.
-
-        Runs in the engine thread between batches, when the executor is
-        idle and the committed trees are final.  Commits are fed in commit
-        order (the executor's logical clock is monotone across batches, so
-        per-batch feeding preserves the global commit order) and the lag
-        gauge exposes the backlog — it is bounded by ``batch_max`` and
-        returns to zero before the next batch starts.
-
-        ``run_batch()`` has returned (or unwound and joined its workers)
-        by now, so this is a quiescent point: every stamp the next batch
-        draws exceeds every stamp fed here.  The batch is therefore sealed
-        as one certifier epoch, which is what keeps the audit's cost and
-        memory flat in the length of the history; the certifier itself
-        refuses the next tree if that promise is ever broken.
-        """
-        if self._certifier is None:
-            return
-        committed = [
-            o for o in outcomes if o.committed and o.final_ctx is not None
-        ]
-        if not committed:
-            return
-        committed.sort(
-            key=lambda o: (o.final_ctx.stats.commit_tick, o.final_ctx.txn_id)
+        # The online audit, once every reply is settled: run_batch() has
+        # returned or unwound, a quiescent point (ShardGroup.audit_batch).
+        committed = sum(
+            o.committed and o.final_ctx is not None for o in outcomes.values()
         )
-        self._certify_lag.set(len(committed))
-        with self._certifier_lock:
-            for outcome in committed:
-                self._certifier.observe_commit(outcome.final_ctx.txn)
-                self._certified.inc()
-                self._certify_lag.dec()
-            self._certifier.seal()
+        if self.config.online_certify and committed:
+            self._certify_lag.set(committed)
+            with self._certifier_lock:
+                self._group.audit_batch()
+                self._certified.inc(committed)
+                self._certify_lag.set(0)
 
     def _settle(self, request: _Request, outcome) -> None:
         if outcome.committed:
@@ -730,10 +689,7 @@ class TransactionService:
                     or outcome.final_ctx is None
                 ):
                     lost.append(label)
-        kept: set[str] = set()
-        for unit in self._group.units:
-            kept.update(unit.committed_attempts)
-        unreported = sorted(kept - reported)
+        unreported = sorted(self._group.committed() - reported)
         return {
             "unsettled": unsettled,
             "lost_commits": lost,
@@ -744,27 +700,24 @@ class TransactionService:
     def certify(self, ablation=None, *, exact: bool = False):
         """Judge the service's committed history with the paper's oracle.
 
-        With the online audit enabled (the default) the verdict is the
-        continuously maintained one — no end-of-run replay — converted to
-        the familiar :class:`~repro.fuzz.oracle.OracleReport` shape; on
-        violation the canonical exact report (witnesses included) is
-        computed and returned instead.  ``exact=True``, an ``ablation`` or
-        no online audit judges with the group's exact oracle
+        With the online audit on (the default) the verdict is the audit's,
+        in :class:`~repro.fuzz.oracle.OracleReport` shape, with no replay.
+        A violation, ``exact=True``, an ``ablation`` or no online audit is
+        judged by the group's exact oracle, witnesses included
         (:meth:`~repro.shard.service.ShardGroup.certify`).
         """
-        if ablation is None and not exact and self._certifier is not None:
-            with self._certifier_lock:
-                report = self._certifier.report(gave_up=self._gave_up)
-            if not report.violation:
+        if ablation is None and not exact:
+            report = self.certification()
+            if report is not None and not report.violation:
                 return report.as_oracle_report()
         return self._group.certify(ablation, gave_up=self._gave_up)
 
     def certification(self):
         """The raw online-audit state (fast/escalated counters), or None."""
-        if self._certifier is None:
+        if not self.config.online_certify:
             return None
         with self._certifier_lock:
-            return self._certifier.report(gave_up=self._gave_up)
+            return self._group.certification(gave_up=self._gave_up)
 
     def stats(self) -> dict:
         """Per-tenant stats: admission state + terminal-status tallies."""

@@ -6,11 +6,12 @@ exactly one shard.  What a shard cannot see is a cycle threaded through
 *other* shards' objects: T1 → T2 on shard A and T2 → T1 on shard B, both
 locally acyclic.  The coordinator closes that gap.  At every barrier each
 shard ships its current added-action dependency constraints (Definition 15
-edges, projected to committed-or-prepared transactions and mapped back to
-base labels); the coordinator replays their union into an
+edges, projected to the running batch's committed-or-prepared transactions
+and mapped back to base labels); the coordinator replays their union into an
 :class:`~repro.core.graph.OnlineTopology` and any transaction whose
 prepare would close a cycle (Definition 16: the relation must remain
-acyclic) is voted down before it commits anywhere.
+acyclic) is voted down before it commits anywhere.  A batch ends at a
+quiescent point no cycle spans (DESIGN §6.15): 2PC state lives one batch.
 
 Decisions follow presumed-abort two-phase commit: a ``decide`` record is
 forced to the coordinator's own log *before* the verdict is broadcast, so
@@ -19,10 +20,8 @@ abort; decide-commit record → commit, see ``repro.shard.recovery``).
 
 Shards resend their **full** edge set each round rather than deltas.  The
 topology cannot un-insert edges (aborted transactions' edges must go) and
-it stops maintaining its order after the first cycle, so the coordinator
-rebuilds it from scratch per round from the latest snapshots — rounds are
-rare (one per stall barrier) and edge sets are small, so the rebuild is
-cheaper than the bookkeeping it replaces.
+stops maintaining its order after the first cycle, so each round rebuilds
+it from the latest snapshots — one batch's edges, cheaper than deltas.
 """
 
 from __future__ import annotations
@@ -49,18 +48,14 @@ def canonical_cycle(cycle: list[str]) -> tuple[str, ...]:
 class Coordinator:
     """Drives 2PC verdicts and the global Def 16 acyclicity check.
 
-    ``multi`` maps each distributed transaction's base label to the sorted
-    tuple of shard ids expected to vote.  Single-shard transactions never
-    reach the coordinator (the 1PC fast path).
+    ``multi`` maps each of the running batch's distributed transactions to
+    the sorted tuple of shard ids expected to vote.  Single-shard
+    transactions never reach the coordinator (the 1PC fast path).
     """
 
     def __init__(self, multi: dict[str, tuple[int, ...]], wal=None):
-        self.multi = dict(multi)
         self.wal = wal
-        #: base label -> COMMIT | ABORT, cumulative over all rounds
-        self.decisions: dict[str, str] = {}
-        #: shard -> {base -> True} prepared votes seen so far
-        self._votes: dict[str, set[int]] = {label: set() for label in self.multi}
+        self.register(multi)
         #: committed-only cycles — genuine serializability violations
         self.violations: list[tuple[str, ...]] = []
         self._violation_keys: set[tuple[str, ...]] = set()
@@ -70,10 +65,14 @@ class Coordinator:
         self.crash_aborts = 0
 
     def register(self, multi: dict[str, tuple[int, ...]]) -> None:
-        """Enroll more distributed transactions (long-lived service use)."""
-        for base, shards in multi.items():
-            self.multi[base] = tuple(shards)
-            self._votes.setdefault(base, set())
+        """Start a batch: its distributed transactions, votes and verdicts
+        replace the last batch's, all decided.  The counters and
+        ``violations`` stay cumulative."""
+        self.multi = {base: tuple(shards) for base, shards in multi.items()}
+        #: base label -> COMMIT | ABORT, over the running batch
+        self.decisions: dict[str, str] = {}
+        #: base label -> shards whose prepared vote arrived
+        self._votes: dict[str, set[int]] = {base: set() for base in self.multi}
 
     # -- verdicts ------------------------------------------------------------
 
@@ -99,13 +98,13 @@ class Coordinator:
     def round(self, reports: list[dict]) -> dict[str, str]:
         """Digest one barrier's shard reports; return decisions new this round.
 
-        Each report carries the shard's *cumulative* state:
+        Each report carries the shard's state over the running batch:
 
         - ``prepared``: base labels with a durable prepare vote
         - ``failed``: base labels whose branch gave up or errored pre-vote
-        - ``committed_local``: 1PC commits (base labels)
-        - ``edges``: the full Def 15 edge set over committed ∪ prepared
-          transactions, base-mapped
+        - ``committed_local``: the batch's commits (base labels)
+        - ``edges``: the full Def 15 edge set over the batch's committed ∪
+          prepared transactions, base-mapped
         - ``crashed``: the shard died (its votes are void)
         - ``status``/``advanced``: stall-vs-progress signals for deadlock
           detection

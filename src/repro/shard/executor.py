@@ -57,20 +57,23 @@ class _TwoPhaseWorker(_Worker):
 class ShardExecutor(InterleavedExecutor):
     """The interleaved executor with a two-phase-commit quiescence point.
 
-    ``multi_labels`` are the base labels of transactions that span shards;
-    their programs get :class:`_TwoPhaseWorker` bodies.  Everything else —
-    scheduling, backoff, restarts, fault handling — is inherited unchanged,
-    so a shard with no cross-shard branches behaves exactly like the
-    single-core executor.
+    ``multi_labels`` are the base labels of the running batch's
+    transactions that span shards; their programs get
+    :class:`_TwoPhaseWorker` bodies.  Everything else — scheduling,
+    backoff, restarts, fault handling — is inherited unchanged, so a shard
+    with no cross-shard branches behaves exactly like the single-core
+    executor.
     """
 
-    def __init__(self, db, multi_labels: set[str], **kwargs):
-        super().__init__(db, **kwargs)
+    def start(self, programs, multi_labels=()) -> None:
+        """Launch one batch with fresh 2PC state: the last batch ended with
+        every attempt decided, so nothing carries over."""
         self.multi_labels = set(multi_labels)
         #: base label -> COMMIT | ABORT, as broadcast by the coordinator
         self.decisions: dict[str, str] = {}
         #: base label -> attempt label of the branch that voted
         self.prepared_attempts: dict[str, str] = {}
+        super().start(programs)
 
     def _make_worker(self, program) -> _Worker:
         if program.label in self.multi_labels:

@@ -1,9 +1,9 @@
 """The shard engine: one shard unit, one barrier loop, one Def 16 composition.
 
 :class:`ShardState` is *the* per-shard unit — a shard's database,
-:class:`~repro.shard.executor.ShardExecutor`, clock offset and cumulative
-committed attempts — and :class:`ShardGroup` is its only driver.  A fresh
-group run for one batch of programs is a fuzz cell
+:class:`~repro.shard.executor.ShardExecutor`, online certifier, clock
+offset and cumulative committed attempts — and :class:`ShardGroup` is its
+only driver.  A fresh group run for one batch of programs is a fuzz cell
 (:func:`repro.shard.runtime.run_sharded_cell`); a group reused batch after
 batch is the service's engine at every shard count.  One shard is the
 single-core case: no transaction spans shards, nothing coordinates, and the
@@ -12,26 +12,31 @@ run is byte-identical to the plain executor.
 Shards run in **bulk-synchronous epochs** (:func:`drive_epochs`): every unit
 drives its deterministic controller loop until quiescent (all programs
 finished, or every runnable worker parked on a ``2pc:`` key), then all meet
-at a barrier.  There the coordinator ingests each unit's cumulative votes
-and its current Definition 15 constraint edges (base-mapped, over
+at a barrier.  There the coordinator ingests each unit's votes and its
+current Definition 15 constraint edges (base-mapped, over the batch's
 committed-or-prepared transactions), runs the global Definition 16
 acyclicity check, and broadcasts verdicts; the units resume.  The barrier
 also aligns the logical clocks: the global tick is the max of every unit's
-``offset + now`` and the per-unit offsets are re-based to it.
+``offset + now`` and the per-unit offsets are re-based to it.  A batch
+ends with every attempt decided — a quiescent point no cycle spans (DESIGN
+§6.15) — so the 2PC state and the Definition 15 report cover one batch.
 
 The verdict composes the same way for a cell and for a service run
 (:func:`compose_report`): objects never span shards, so every unit's
 committed projection must pass the local Def 10-14 analysis — the fuzz
 oracle's own :func:`~repro.fuzz.oracle.judge_committed` — and the
 base-mapped union of their Definition 15 constraint sets must stay acyclic.
-The online per-batch certifier is a single-history device and runs only at
-one shard; at more, :meth:`ShardGroup.certify` is the audit surface.
+The online audit (:meth:`ShardGroup.audit_batch`) is the same composition
+one batch at a time: each unit's :class:`~repro.core.certify.OnlineCertifier`
+certifies and seals the unit's commits, and after a coordinating batch the
+union of the units' final Definition 15 edges must be acyclic.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.core.certify import OnlineCertifier, certified_base
 from repro.core.graph import OnlineTopology
 from repro.core.serializability import analyze_system
 from repro.errors import SimulationError
@@ -66,6 +71,12 @@ _SEED_STRIDE = 100_003
 
 #: coordinator rounds one batch may take before it is declared livelocked
 MAX_ROUNDS = 10_000
+
+#: the online audit's counters, summed over the units
+_SUMMED = (
+    "actions fast_commits escalated_commits stragglers_scanned epochs "
+    "escalated_epochs"
+).split()
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +115,6 @@ class ShardState:
         self.ablation = ablation
         self.clock_offset = 0
         self.status = "new"
-        self._coordinates = False
         self.events: list[dict] = []
         #: base label -> committed attempt label, cumulative over batches
         self.committed_attempts: dict[str, str] = {}
@@ -128,7 +138,6 @@ class ShardState:
         )
         self.executor = ShardExecutor(
             self.db,
-            set(),
             seed=seed + shard_id * _SEED_STRIDE,
             max_ticks=max_ticks,
             faults=faults,
@@ -138,18 +147,18 @@ class ShardState:
         # barrier-aligned offset.  At one shard the offset is always 0 and
         # this is exactly the executor's own clock.
         self.db.bus.clock = lambda: self.clock_offset + self.executor.now
+        self.certifier = OnlineCertifier(
+            certified_base(self.db.system),
+            self.db.commutativity_registry().copy(),
+            strict_cross_object=self.strict,
+            metrics=self.db.metrics,
+        )
 
     # -- one batch: start, epochs, finish ------------------------------------
 
     def start(self, programs: list[TransactionProgram], multi) -> None:
         """Launch one batch; ``multi`` names its cross-shard transactions."""
-        self.executor.multi_labels.update(multi)
-        # No cross-shard transaction, no barrier: nothing parks on a
-        # ``2pc:`` key, so the batch drains in one epoch and nobody reads
-        # its commits or its Def 15 report.  Both are cumulative — the next
-        # batch that does coordinate still sends them all.
-        self._coordinates = bool(multi)
-        self.executor.start(programs)
+        self.executor.start(programs, multi)
         self.status = "running"
 
     def run_epoch(self, decisions: dict[str, str], offset: int) -> dict:
@@ -170,6 +179,8 @@ class ShardState:
                 and not worker.outcome.committed
                 and not worker.outcome.cross_abort
             ]
+        # No cross-shard transaction, no barrier: the batch drains in one
+        # epoch and nobody reads its commits or its Def 15 report.
         return {
             "shard": self.shard_id,
             "status": self.status,
@@ -177,53 +188,47 @@ class ShardState:
             "prepared": sorted(ex.prepared_attempts),
             "failed": sorted(failed),
             "committed_local": (
-                sorted(
-                    set(self.committed_attempts)
-                    | {base_label(attempt) for attempt in self._committed_now()}
-                )
-                if self._coordinates
+                sorted({base_label(c.txn_id) for c in self._committed_now()})
+                if ex.multi_labels
                 else []
             ),
-            "edges": self.current_edges() if self._coordinates else [],
+            "edges": self.current_edges() if ex.multi_labels else [],
             "crashed": ex.crashed,
             "now": ex.now,
         }
 
     def finish(self) -> ExecutionResult:
-        """Join the batch's workers; fold its commits into the cumulative
-        map."""
-        self.result = result = self.executor.finish()
-        for attempt in result.committed_labels:
-            self.committed_attempts[base_label(attempt)] = attempt
-        return result
+        """Join the batch's workers (re-raises a worker's error)."""
+        self.result = self.executor.finish()
+        return self.result
 
     def _progress(self) -> tuple:
         ex = self.executor
         return ex.now, len(ex.prepared_attempts), len(self._committed_now())
 
-    def _committed_now(self) -> list[str]:
-        """Attempt labels the running batch has committed so far."""
+    def _committed_now(self) -> list:
+        """Contexts of the attempts the running batch has committed so far."""
         return [
-            w.outcome.final_ctx.txn_id
+            w.outcome.final_ctx
             for w in self.executor._workers
             if w.outcome.committed and w.outcome.final_ctx is not None
         ]
 
     # -- Definitions 10-15, locally ------------------------------------------
 
-    def current_edges(self) -> list:
-        """The shard's Definition 15 constraints over committed ∪ prepared
-        transactions, mapped to base labels — what the coordinator feeds
-        into the global Definition 16 topology."""
+    def current_edges(self, registry=None) -> list:
+        """The shard's Definition 15 constraints over the running batch's
+        committed ∪ prepared-undecided transactions, mapped to base labels
+        — what the coordinator feeds into the global Definition 16
+        topology.  ``registry`` (the audit's) replaces the database's."""
         ex = self.executor
-        labels = set(self.committed_attempts.values())
-        labels.update(self._committed_now())
+        labels = {ctx.txn_id for ctx in self._committed_now()}
         for base, attempt in ex.prepared_attempts.items():
             if ex.decisions.get(base) != ABORT:
                 labels.add(attempt)
+        projection, own = committed_history(self.db, labels, self.ablation)
         verdict, _ = analyze_system(
-            *committed_history(self.db, labels, self.ablation),
-            propagate_cross_object=self.strict,
+            projection, registry or own, propagate_cross_object=self.strict
         )
         return _base_edges(verdict.top_order_constraints)
 
@@ -357,12 +362,11 @@ class ShardGroup:
     """N shard units + one coordinator: the engine behind every caller.
 
     The service's engine thread hands it batch after batch of admitted
-    requests (at every shard count, one included); a fuzz cell is a fresh
-    group run for one batch (:func:`repro.shard.runtime.run_sharded_cell`).
+    requests, then :meth:`audit_batch`; a fuzz cell is a fresh group run
+    for one batch (:func:`repro.shard.runtime.run_sharded_cell`).
     :meth:`run_batch` splits every request's ops across the owning shards,
     registers multi-shard transactions with the coordinator, drives the
-    epochs until the batch drains, and merges each transaction's branch
-    outcomes back into one :class:`~repro.runtime.executor.WorkerOutcome`.
+    epochs until the batch drains, and merges the branch outcomes.
 
     ``storage_for(shard)`` gives a unit's storage keywords (``wal``,
     ``store``, ``checkpoint_every``), ``faults_for(shard)`` its fault plan;
@@ -412,6 +416,8 @@ class ShardGroup:
         #: the last batch's merged outcomes by label; after a failed batch,
         #: only the transactions whose every branch reached a verdict
         self.outcomes: dict[str, WorkerOutcome] = {}
+        #: batches whose units' final Definition 15 edges closed a cycle
+        self.audit_cycles = 0
 
     # -- the catalog surface the service validates against -------------------
 
@@ -485,21 +491,59 @@ class ShardGroup:
         except Exception:
             for base in multi:
                 self.coordinator._decide(base, ABORT)  # if still undecided
-            verdicts = {
-                base: self.coordinator.decisions[base] for base in multi
-            }
             for unit in self.units:
-                unit.executor.decisions.update(verdicts)
+                unit.executor.decisions.update(self.coordinator.decisions)
                 unit.executor._abandon()
-                for attempt in unit._committed_now():
-                    unit.committed_attempts[base_label(attempt)] = attempt
             self.outcomes = _merged(
                 [[w.outcome for w in u.executor._workers] for u in self.units],
                 finished_only=True,
             )
             raise
+        finally:  # a failed batch keeps the attempts that committed, too
+            for unit in self.units:
+                for ctx in unit._committed_now():
+                    unit.committed_attempts[base_label(ctx.txn_id)] = ctx.txn_id
         self.outcomes = _merged(per_unit)
         return self.outcomes
+
+    # -- the online audit -----------------------------------------------------
+
+    def audit_batch(self) -> None:
+        """The online audit of the batch just run, a quiescent point: every
+        unit certifies its commits in commit order and seals, and after a
+        coordinating batch the union of the units' final Definition 15
+        edges must stay acyclic (DESIGN §6.15)."""
+        if self.coordinator.multi and not _acyclic(
+            edge
+            for unit in self.units
+            for edge in unit.current_edges(unit.certifier.commutativity)
+        ):
+            self.audit_cycles += 1
+        for unit in self.units:
+            for ctx in sorted(
+                unit._committed_now(),
+                key=lambda ctx: (ctx.stats.commit_tick, ctx.txn_id),
+            ):
+                unit.certifier.observe_commit(ctx.txn)
+            unit.certifier.seal()
+
+    def certification(self, *, gave_up: int = 0):
+        """The online audit's verdict so far: the units' reports summed
+        (one shard's is its unit's own)."""
+        reports = [u.certifier.report(gave_up=gave_up) for u in self.units]
+        if len(reports) == 1:
+            return reports[0]
+        escalated = [report for report in reports if report.escalated]
+        return replace(
+            (escalated or reports)[0],
+            ok=all(report.ok for report in reports) and not self.audit_cycles,
+            committed=len(self.committed()),
+            **{key: sum(getattr(r, key) for r in reports) for key in _SUMMED},
+        )
+
+    def committed(self) -> set[str]:
+        """Base labels committed on any shard, over every batch."""
+        return set().union(*(unit.committed_attempts for unit in self.units))
 
     # -- the composed oracle --------------------------------------------------
 
@@ -508,12 +552,9 @@ class ShardGroup:
 
         ``gave_up`` is the caller's count of requests that gave up (the
         group only keeps commits)."""
-        committed: set[str] = set()
-        for unit in self.units:
-            committed.update(unit.committed_attempts)
         return compose_report(
             [unit.judge(ablation) for unit in self.units],
-            committed=len(committed),
+            committed=len(self.committed()),
             gave_up=gave_up,
             coord_violations=self.coordinator.violations,
         )
@@ -544,16 +585,14 @@ def _merged(per_unit, *, finished_only: bool = False) -> dict[str, WorkerOutcome
     """Each transaction's branch outcomes folded into one, by label.
 
     Branches arrive in shard order, so the merged ``final_ctx`` is the
-    lowest shard's — a real committed context, which is what the service's
-    "no lost admitted commits" audit requires.  A transaction committed
-    only if *every* branch committed (2PC guarantees all or none; a
-    disagreement here would be an atomicity bug, and shows up as a
-    non-committed merge, never a phantom commit).  A lone branch is
-    returned as is; several fold into a copy, so the units' own results
-    stay unchanged.  ``finished_only`` keeps only the transactions whose
-    every branch reached a verdict of its own
-    (:attr:`~repro.runtime.executor.WorkerOutcome.finished`): what a
-    failed batch can still answer.
+    lowest shard's: a real committed context, as the service's "no lost
+    admitted commits" audit requires.  A transaction committed only if
+    *every* branch did (2PC: all or none; a disagreement is an atomicity
+    bug and merges as not committed, never as a phantom commit).  A lone
+    branch is returned as is; several fold into a copy.  ``finished_only``
+    keeps the transactions whose every branch reached a verdict of its own
+    (:attr:`~repro.runtime.executor.WorkerOutcome.finished`): what a failed
+    batch can still answer.
     """
     branches: dict[str, list[WorkerOutcome]] = {}
     for outcomes in per_unit:

@@ -187,3 +187,26 @@ def test_recovery_of_a_loaded_log_parses_only_its_tail(
     assert (asdict(report), digest) == (asdict(expected[0]), expected[1])
     assert report.losers  # the crash left work to unwind
     assert len(parsed) <= replayed + 1
+
+
+def test_a_run_whose_attempts_keep_aborting_still_checkpoints(tmp_path):
+    """Seed 5 commits nothing before its crash: a checkpoint asked only
+    after commit records would never come, and recovery would replay the
+    log from genesis.  Asked after every ``abort-done`` too, the log holds
+    one, and recovery from it keeps the winners and the page images that
+    recovery from genesis gives."""
+    spec, live = _crashed_data_dir(5, tmp_path)
+    full = list(WriteAheadLog.load(str(live / "wal.jsonl")))
+    assert any(record["t"] == "ckpt-end" for record in full)
+    shutil.copytree(live, tmp_path / "genesis")
+    from_genesis = WriteAheadLog.from_records(
+        [r for r in full if not r["t"].startswith("ckpt-")]
+    )
+    expected, expected_digest = _recover_dir(
+        spec, tmp_path / "genesis", from_genesis
+    )
+    report, digest = _recover_dir(
+        spec, live, WriteAheadLog.load(str(live / "wal.jsonl"))
+    )
+    assert (report.winners, digest) == (expected.winners, expected_digest)
+    assert report.losers == expected.losers

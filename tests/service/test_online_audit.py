@@ -168,7 +168,7 @@ class _Leaky(OnlineCertifier):
 
 
 def _certifier(svc, ablation, cls=OnlineCertifier, **kwargs):
-    """A certifier built the way the service builds its own."""
+    """A certifier built the way a shard unit builds its own."""
     registry = svc.db.commutativity_registry().copy()
     if ablation is not None:
         registry = ablation.apply(registry)
@@ -202,7 +202,7 @@ def _cell(protocol: str, seed: int, ablated: bool):
     ablation = (
         Ablation(object_name=svc.spec.leaf_objects[0].name) if ablated else None
     )
-    svc._certifier = _certifier(
+    svc._group.units[0].certifier = _certifier(
         svc, ablation, _Recorder, metrics=svc.db.metrics
     )
     with svc:
@@ -244,7 +244,7 @@ class TestRetireRule:
         self, protocol, seed, ablated
     ):
         svc, ablation, _ = _cell(protocol, seed, ablated)
-        sealed = svc._certifier
+        sealed = svc._group.units[0].certifier
         unsealed = _certifier(svc, ablation)
         verdicts = [unsealed.observe_commit(txn) for txn in sealed.fed]
         assert verdicts == sealed.verdicts
@@ -254,7 +254,7 @@ class TestRetireRule:
         # One batch's trees overlap: a seal between two of them promises
         # an order the stamps contradict.
         svc, ablation, _ = _cell("open-nested-oo", CATALOGS[0], False)
-        batch = svc._certifier.fed[:WAVE]
+        batch = svc._group.units[0].certifier.fed[:WAVE]
         hasty = _certifier(svc, ablation)
         with pytest.raises(ScheduleError, match="premature"):
             for txn in batch:
@@ -272,7 +272,7 @@ class TestRetireRule:
         for cell in cells:
             svc, ablation, exact = _cell(*cell)
             leaky = _certifier(svc, ablation, _Leaky)
-            for txn in svc._certifier.fed:
+            for txn in svc._group.units[0].certifier.fed:
                 leaky.observe_commit(txn)
             if leaky.oo_serializable != exact.oo_serializable:
                 missed.append(cell)
@@ -280,12 +280,12 @@ class TestRetireRule:
 
     def test_violation_outlives_the_epoch_that_found_it(self):
         def found_before_the_last_batch(cell) -> bool:
-            certifier = _cell(*cell)[0]._certifier
+            certifier = _cell(*cell)[0]._group.units[0].certifier
             return certifier.verdicts.index(False) < len(certifier.fed) - WAVE
 
         cell = next(filter(found_before_the_last_batch, _violating_cells()))
         svc = _cell(*cell)[0]
-        certifier = svc._certifier
+        certifier = svc._group.units[0].certifier
         assert not any(certifier.verdicts[-WAVE:])
         held = certifier.live_transactions
         certifier.seal()  # a no-op on a violated certifier
@@ -322,7 +322,7 @@ class TestRetireRule:
         report = svc.certification()
         assert report.committed == statuses.count("committed") + 4
         assert report.epochs == 2
-        assert svc._certifier.live_transactions == 0
+        assert svc._group.units[0].certifier.live_transactions == 0
         assert report.ok and not svc.certify(exact=True).violation
 
 
@@ -335,7 +335,7 @@ def long_run():
     svc = TransactionService(
         ServiceConfig(protocol="open-nested-oo", seed=7, batch_max=WAVE)
     )
-    certifier = svc._certifier
+    certifier = svc._group.units[0].certifier
     registry = certifier.commutativity
     calls = [0]
     #: (in_conflict calls, commits observed) as of each seal
@@ -373,7 +373,7 @@ class TestBoundedAudit:
 
     def test_nothing_is_held_between_batches(self, long_run):
         svc, _ = long_run
-        certifier = svc._certifier
+        certifier = svc._group.units[0].certifier
         assert certifier._engine is None
         assert certifier._log == []
         assert certifier._timelines == {}
@@ -430,7 +430,7 @@ def decisions_run():
     svc = TransactionService(
         ServiceConfig(protocol="open-nested-oo", seed=7, batch_max=WAVE)
     )
-    certifier = svc._certifier
+    certifier = svc._group.units[0].certifier
     registry = certifier.commutativity
     decisions = [0]
     #: (specification decisions, commits observed) as of each seal

@@ -177,10 +177,22 @@ class TestDurability:
         assert len([r for r in wal.records if r["t"] == "decide"]) == 1
 
     def test_register_enrolls_later_transactions(self):
-        coordinator = Coordinator({})
+        """Each register() starts a batch: its transactions replace the
+        last batch's, whose votes and verdicts are gone; the counters
+        stay cumulative."""
+        coordinator = Coordinator({"T1": (0, 1)})
+        coordinator.round([
+            _report(0, prepared=["T1"]),
+            _report(1, prepared=["T1"]),
+        ])
+        assert coordinator.decisions == {"T1": COMMIT}
         coordinator.register({"T9": (0, 2)})
+        assert (coordinator.multi, coordinator.decisions) == (
+            {"T9": (0, 2)}, {},
+        )
         new = coordinator.round([
             _report(0, prepared=["T9"]),
             _report(2, prepared=["T9"]),
         ])
         assert new == {"T9": COMMIT}
+        assert coordinator.rounds == 2
