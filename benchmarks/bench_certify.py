@@ -33,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _harness import emit, write_trajectory
 
 from repro.analysis import render_table
+from repro.catalog import GeneratorProfile, generate
 from repro.core.certify import OnlineCertifier, certify_history
 from repro.core.commutativity import CommutativityRegistry
 from repro.core.dependency import (
@@ -40,10 +41,9 @@ from repro.core.dependency import (
     linearize_effects,
 )
 from repro.core.extension import extend_system
+from repro.core.judge import check_history, strictness_for
 from repro.core.transactions import TransactionSystem
 from repro.fuzz.driver import execute_cell
-from repro.fuzz.generator import GeneratorProfile, generate
-from repro.fuzz.oracle import check_history, strictness_for
 
 #: per-transaction shape: 5 method calls, each doing 15 page primitives
 METHODS = 5

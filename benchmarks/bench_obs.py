@@ -34,8 +34,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _harness import emit, write_trajectory
 
 from repro.analysis import render_table
+from repro.catalog import GeneratorProfile, generate
 from repro.fuzz.driver import execute_cell
-from repro.fuzz.generator import GeneratorProfile, generate
 from repro.obs import EventBus, EventLog, SpanTracer, chrome_trace
 from repro.obs.events import LockRequest
 from repro.obs.export import validate_chrome_trace

@@ -39,11 +39,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _harness import emit, write_trajectory
 
 from repro.analysis import render_table
+from repro.catalog import GeneratorProfile
 from repro.core.actions import Invocation
 from repro.core.commutativity import MatrixCommutativity
 from repro.core.transactions import TransactionSystem
 from repro.fuzz.driver import run_campaign
-from repro.fuzz.generator import GeneratorProfile
 from repro.fuzz.parallel import available_cpus
 from repro.locking.lock_table import Lock, LockTable
 from repro.oodb.context import TransactionContext

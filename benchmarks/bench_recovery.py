@@ -34,11 +34,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _harness import emit, write_trajectory
 
 from repro.analysis import render_table
+from repro.catalog import GeneratorProfile, generate, host_workload
 from repro.core.commutativity import MatrixCommutativity
 from repro.faults import FaultPlan
 from repro.fuzz.crash import crash_census
 from repro.fuzz.driver import execute_cell
-from repro.fuzz.generator import GeneratorProfile, generate, host_workload
 from repro.locking import OpenNestedLocking
 from repro.oodb import DatabaseObject, ObjectDatabase, dbmethod
 from repro.oodb.store import FileBackedPageStore

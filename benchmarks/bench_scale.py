@@ -34,10 +34,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _harness import emit, write_trajectory
 
 from repro.analysis import render_table
+from repro.catalog import GeneratorProfile, generate
 from repro.fuzz.driver import run_campaign
-from repro.fuzz.generator import GeneratorProfile, generate
 from repro.fuzz.parallel import available_cpus
-from repro.shard import run_sharded_cell, single_core_text
+from repro.fuzz.sharded import run_sharded_cell, single_core_text
 
 #: enough sequential work per shard, and a cross-group rate low enough
 #: that lock-holding voters rarely deadlock across shards (those aborts

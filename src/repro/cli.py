@@ -87,7 +87,7 @@ def _with_timeout(fn, args) -> int:
 
 def _profile(args):
     """The generator profile the shared ``--smoke`` / ``--long`` flags pick."""
-    from repro.fuzz.generator import GeneratorProfile
+    from repro.catalog import GeneratorProfile
 
     if getattr(args, "long", None) is not None:
         return GeneratorProfile.long(args.long)
@@ -96,7 +96,7 @@ def _profile(args):
 
 def _cell_spec(args, shards: int = 1):
     """The workload spec of the cell ``--seed`` (+ profile flags) names."""
-    from repro.fuzz.generator import generate, sharded_profile
+    from repro.catalog import generate, sharded_profile
 
     return generate(args.seed, sharded_profile(_profile(args), shards))
 
@@ -374,14 +374,9 @@ def _build_fuzz_parser(subparsers) -> None:
 def cmd_fuzz(args) -> int:
     import json
 
-    from repro.fuzz import (
-        Ablation,
-        counterexample_dict,
-        run_campaign,
-        run_cell,
-        shrink,
-    )
-    from repro.fuzz.generator import WorkloadSpec
+    from repro.catalog import WorkloadSpec
+    from repro.core.judge import Ablation
+    from repro.fuzz import counterexample_dict, run_campaign, run_cell, shrink
 
     if args.shards > 1 and (
         args.replay is not None
@@ -509,7 +504,7 @@ def cmd_fuzz(args) -> int:
 
 
 def _cmd_fuzz_service(args, seeds) -> int:
-    from repro.service.campaign import run_service_campaign
+    from repro.fuzz.service_campaign import run_service_campaign
 
     tenants = tuple(f"tenant{i}" for i in range(max(1, args.tenants)))
     campaign = run_service_campaign(
@@ -715,11 +710,10 @@ def _build_certify_parser(subparsers) -> None:
 def cmd_certify(args) -> int:
     import json
 
+    from repro.catalog import WorkloadSpec
     from repro.core.certify import certify_history
-    from repro.fuzz import Ablation
+    from repro.core.judge import Ablation, check_history, strictness_for
     from repro.fuzz.driver import execute_cell
-    from repro.fuzz.generator import WorkloadSpec
-    from repro.fuzz.oracle import check_history, strictness_for
 
     ablation = None
     if args.replay is not None:
@@ -831,7 +825,7 @@ def _build_recover_parser(subparsers) -> None:
 def cmd_recover(args) -> int:
     import os
 
-    from repro.fuzz.generator import host_workload
+    from repro.catalog import host_workload
     from repro.oodb.wal import WriteAheadLog, recover, store_digest, verify_log
 
     if args.wal is None and args.data_dir is None:
@@ -981,7 +975,7 @@ def cmd_stats(args) -> int:
 
     spec = _cell_spec(args, args.shards)
     if args.shards > 1:
-        from repro.shard import run_sharded_cell
+        from repro.fuzz.sharded import run_sharded_cell
 
         result = run_sharded_cell(spec, args.protocol, args.shards)
         # Numeric samples are already summed across the per-shard
@@ -1333,12 +1327,12 @@ def cmd_shard(args) -> int:
         return EXIT_OK
 
     if args.single:
-        from repro.shard import single_core_text
+        from repro.fuzz.sharded import single_core_text
 
         print(single_core_text(spec, args.protocol), end="")
         return EXIT_OK
 
-    from repro.shard import run_sharded_cell
+    from repro.fuzz.sharded import run_sharded_cell
 
     result = run_sharded_cell(
         spec,

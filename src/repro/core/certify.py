@@ -40,7 +40,7 @@ through the exact :class:`~repro.core.dependency.IncrementalDependencyEngine`
 (same strictness, online cycle watchers) and routes every later commit of
 the epoch through it, so verdicts are exactly the engine's.  On violation
 the caller obtains the canonical report (witness strings included) from
-:func:`repro.fuzz.oracle.check_history`, which re-analyzes the same
+:func:`repro.core.judge.check_history`, which re-analyzes the same
 already-linearized, already-extended trees — byte-identical to judging
 the history without a certifier in the loop.
 
@@ -91,11 +91,11 @@ from repro.core.commutativity import CommutativityRegistry
 from repro.core.dependency import IncrementalDependencyEngine, linearize_effects
 from repro.core.extension import extend_system
 from repro.core.identifiers import SYSTEM_OBJECT, ObjectId, is_virtual
+from repro.core.judge import Ablation, OracleReport, check_history
 from repro.core.transactions import OOTransaction, TransactionSystem
 from repro.errors import ScheduleError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fuzz.oracle import Ablation, OracleReport
     from repro.runtime.executor import ExecutionResult
 
 #: escalation reasons (stable strings: tests and metrics key off them)
@@ -114,7 +114,7 @@ STRAGGLER_SCAN_LIMIT = 64
 class CertificationReport:
     """Outcome of certifying one committed history.
 
-    Mirrors the :class:`~repro.fuzz.oracle.OracleReport` consumer surface
+    Mirrors the :class:`~repro.core.judge.OracleReport` consumer surface
     (``violation``, ``oo_serializable``, ``description``) so existing
     tooling can take either; :meth:`as_oracle_report` converts outright.
     """
@@ -170,8 +170,6 @@ class CertificationReport:
         """
         if self.oracle is not None:
             return self.oracle
-        from repro.fuzz.oracle import OracleReport
-
         return OracleReport(
             oo_serializable=self.ok,
             conventional_serializable=self.ok,
@@ -216,7 +214,7 @@ class OnlineCertifier:
         shares the source registry concurrently.
     strict_cross_object:
         Oracle strictness for the protocol under test
-        (:func:`repro.fuzz.oracle.strictness_for`).
+        (:func:`repro.core.judge.strictness_for`).
     pre_extended:
         The caller linearized and extended the whole system up front (the
         offline :func:`certify_history` path); per-commit passes are
@@ -602,7 +600,7 @@ def certify_history(
     Performs the exact oracle's tree mutations — committed projection,
     global re-stamping, global Definition 5 extension — then feeds the
     committed trees through an :class:`OnlineCertifier` in commit order.
-    The verdict equals :func:`repro.fuzz.oracle.check_history`'s
+    The verdict equals :func:`repro.core.judge.check_history`'s
     ``oo_serializable`` bit; on violation (with ``with_oracle``) the
     canonical report, witnesses included, is attached as ``.oracle`` so
     shrinker and replay tooling see the exact engine's bytes.
@@ -627,8 +625,6 @@ def certify_history(
             break
     report = certifier.report(gave_up=len(result.gave_up))
     if report.violation and with_oracle:
-        from repro.fuzz.oracle import check_history
-
         report.oracle = check_history(
             result, ablation, strict_cross_object=strict_cross_object
         )

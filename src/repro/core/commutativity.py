@@ -223,7 +223,7 @@ class CommutativityRegistry:
         """A registry with the same mappings that can be mutated freely.
 
         Specifications themselves are shared (they are immutable); only the
-        lookup tables are copied.  The fuzz oracle uses this to break
+        lookup tables are copied.  The judge's ablation uses this to break
         entries without contaminating the scheduler's live registry.
         """
         clone = CommutativityRegistry(default=self.default)

@@ -1,6 +1,7 @@
-"""The fuzzer's oracle: independent verification of executed histories.
+"""The exact judge: independent verification of committed histories.
 
-Every history a protocol commits is replayed through the paper's own
+Every history a protocol commits — in a fuzz cell, a crash leg, a shard
+unit or a service run — is replayed through the paper's own
 machinery (Definitions 10-16 on the committed projection, via
 :func:`repro.core.serializability.analyze_system`) *and* through the
 conventional page-level conflict-serializability baseline.  The oracle
@@ -27,7 +28,7 @@ top-level transactions — the classical level-by-level serializability
 argument, under which inverted cross-object suborders between the same two
 transactions are harmless as long as every level serializes.  The strict
 closure still lifts those suborders to the roots and reports a cycle, so
-for the two early-release protocols the oracle applies the paper's literal
+for the two early-release protocols the judge applies the paper's literal
 Definition 13/16 reading (``propagate_cross_object=False``).  The known
 history that *needs* the closure (DESIGN.md §5's T2/T4 read anomaly) is
 not admissible by either protocol: both keep every top-level send's own

@@ -1,18 +1,20 @@
-"""Randomized schedule fuzzing with an oo-serializability oracle.
+"""Randomized schedule fuzzing, judged by the system's one exact judge.
 
-The package has four parts, wired together by ``python -m repro fuzz``:
+The fuzzer draws its workloads from :mod:`repro.catalog` and sends every
+committed history to :func:`repro.core.judge.judge_committed`; neither is a
+fuzz part.  The package is what ``python -m repro fuzz`` wires together:
 
-- :mod:`~repro.fuzz.generator` — seed-deterministic workloads: layered
-  object graphs, directional/state-dependent commutativity matrices,
-  nested-call transaction programs (including Definition 5 call cycles);
 - :mod:`~repro.fuzz.driver` — runs each workload under all five protocols
-  through the interleaved executor;
-- :mod:`~repro.fuzz.oracle` — replays committed histories through the
-  Definitions 13/16 analysis and the conventional baseline, asserting the
-  protocol-accepted ⊆ oo-serializable theorem and measuring the
-  admission-rate delta;
+  through the interleaved executor, and folds the campaign table;
+- :mod:`~repro.fuzz.sharded` — the sharded cell (a fresh shard group run
+  for one batch) and the canonical cell report;
+- :mod:`~repro.fuzz.crash` — crash injection, recovery and the crash
+  oracle;
+- :mod:`~repro.fuzz.service_campaign` — the fault-injected multi-tenant
+  service campaign;
 - :mod:`~repro.fuzz.shrink` — greedy delta debugging of failing workloads
-  into minimal, seed-reproducible counterexample files.
+  into minimal, seed-reproducible counterexample files;
+- :mod:`~repro.fuzz.parallel` — the seed-parallel runner behind ``--jobs``.
 """
 
 from repro.fuzz.driver import (
@@ -22,37 +24,15 @@ from repro.fuzz.driver import (
     run_campaign,
     run_cell,
 )
-from repro.fuzz.generator import (
-    GeneratorProfile,
-    WorkloadSpec,
-    build_workload,
-    generate,
-    host_workload,
-)
-from repro.fuzz.oracle import (
-    Ablation,
-    OracleReport,
-    check_history,
-    strictness_for,
-)
 from repro.fuzz.shrink import counterexample_dict, shrink, still_fails
 
 __all__ = [
     "FUZZ_PROTOCOLS",
-    "Ablation",
     "CampaignResult",
-    "GeneratorProfile",
-    "OracleReport",
-    "WorkloadSpec",
-    "build_workload",
-    "check_history",
     "counterexample_dict",
     "execute_cell",
-    "generate",
-    "host_workload",
     "run_campaign",
     "run_cell",
     "shrink",
     "still_fails",
-    "strictness_for",
 ]

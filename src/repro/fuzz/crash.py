@@ -17,7 +17,7 @@ from the durable log prefix, and the **crash oracle** verifies:
 2. *Winner serializability*: the committed projection of the crashed
    trace over exactly the durable winners passes the Definition 10-16
    analysis — the schedule fuzzer's own judge,
-   :func:`repro.fuzz.oracle.judge_committed`, per-protocol strictness.
+   :func:`repro.core.judge.judge_committed`, per-protocol strictness.
 3. *State = serial replay of winners*: the recovered page store equals a
    from-scratch serial execution of the winners' programs.  Generated
    workload semantics are additive, so the serial state is
@@ -43,6 +43,13 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 
+from repro.catalog import (
+    GeneratorProfile,
+    WorkloadSpec,
+    generate,
+    host_workload,
+)
+from repro.core.judge import judge_committed, strictness_for
 from repro.errors import ReproError, SimulatedCrash
 from repro.faults import (
     CRASH_SITES,
@@ -51,13 +58,6 @@ from repro.faults import (
     FaultPlan,
 )
 from repro.fuzz.driver import FUZZ_PROTOCOLS, execute_cell
-from repro.fuzz.generator import (
-    GeneratorProfile,
-    WorkloadSpec,
-    generate,
-    host_workload,
-)
-from repro.fuzz.oracle import judge_committed, strictness_for
 from repro.fuzz.parallel import iter_seed_results
 from repro.oodb.store import FileBackedPageStore
 from repro.oodb.wal import RecoveryReport, WriteAheadLog, recover, store_digest

@@ -21,20 +21,20 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError
-from repro.fuzz.generator import (
+from repro.catalog import (
     GeneratorProfile,
     WorkloadSpec,
     generate,
     host_workload,
     sharded_profile,
 )
-from repro.fuzz.oracle import (
+from repro.core.judge import (
     Ablation,
     OracleReport,
     check_history,
     strictness_for,
 )
+from repro.errors import ReproError
 from repro.fuzz.parallel import iter_seed_results
 from repro.runtime.executor import ExecutionResult, InterleavedExecutor
 
@@ -288,7 +288,7 @@ def run_seed_cells(
             tracer = SpanTracer(bus)
         try:
             if shards > 1:
-                from repro.shard.runtime import run_sharded_cell
+                from repro.fuzz.sharded import run_sharded_cell
 
                 result = run_sharded_cell(
                     spec, protocol, shards, ablation=cell_ablation

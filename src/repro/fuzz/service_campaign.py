@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.judge import OracleReport
 from repro.errors import ReproError
 from repro.faults.service import ServiceFaultPlan
 from repro.fuzz.driver import FUZZ_PROTOCOLS
-from repro.fuzz.oracle import OracleReport
 from repro.service.admission import TenantQuota
 from repro.service.client import run_load
 from repro.service.server import ServiceServer

@@ -19,8 +19,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from repro.fuzz.generator import WorkloadSpec
-from repro.fuzz.oracle import (
+from repro.catalog import WorkloadSpec
+from repro.core.judge import (
     Ablation,
     OracleReport,
     check_history,
@@ -340,7 +340,7 @@ def single_core_text(
 ) -> str:
     """The canonical cell report of a plain single-core execution.
 
-    Judged by :func:`~repro.fuzz.oracle.check_history`, which is what a
+    Judged by :func:`~repro.core.judge.check_history`, which is what a
     one-shard group's composed report is, so a ``--shards 1`` run must
     reproduce this output byte for byte (the CI ``shard-smoke`` check).
     """

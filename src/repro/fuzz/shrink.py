@@ -10,7 +10,7 @@ the oracle still reports a violation.  The result is a *minimal* spec in the
 failure disappear.
 
 The minimal spec is emitted as a JSON counterexample file whose ``workload``
-field feeds straight back into :func:`~repro.fuzz.generator.WorkloadSpec.
+field feeds straight back into :func:`~repro.catalog.WorkloadSpec.
 from_dict`, so ``python -m repro fuzz --replay <file>`` (or ``--seed N`` for
 unshrunk reproduction) replays the exact failure.
 """
@@ -20,11 +20,11 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
+from repro.catalog import WorkloadSpec
 from repro.core.certify import certify_history
+from repro.core.judge import Ablation, strictness_for
 from repro.errors import ReproError
 from repro.fuzz.driver import execute_cell
-from repro.fuzz.generator import WorkloadSpec
-from repro.fuzz.oracle import Ablation, strictness_for
 
 #: counterexample file format version (pinned by the regression tests)
 COUNTEREXAMPLE_VERSION = 1

@@ -51,7 +51,7 @@ def committed_history(
 
     The committed projection of ``db``'s trace onto ``labels``, paired with
     the database's own commutativity registry — weakened by ``ablation``
-    (a :class:`repro.fuzz.oracle.Ablation`, applied to a copy) when the
+    (a :class:`repro.core.judge.Ablation`, applied to a copy) when the
     judge is self-testing.
     """
     registry = db.commutativity_registry()

@@ -17,10 +17,10 @@ retry hints, never silent buffering).
 - :mod:`repro.service.server` — JSONL-over-TCP request port plus a live
   Prometheus metrics port;
 - :mod:`repro.service.client` — honest and deliberately misbehaving
-  clients, and the ``repro load`` fleet driver;
-- :mod:`repro.service.campaign` — the fault-injected multi-tenant fuzz
-  campaign, judged by the oracle, the ledger audit, and backpressure
-  accounting.
+  clients, and the ``repro load`` fleet driver.
+
+The fault-injected campaign that drives a service is the fuzzer's
+(:mod:`repro.fuzz.service_campaign`).
 """
 
 from repro.service.admission import (
@@ -28,11 +28,6 @@ from repro.service.admission import (
     Rejection,
     TenantQuota,
     TokenBucket,
-)
-from repro.service.campaign import (
-    ServiceCampaignResult,
-    run_service_campaign,
-    run_service_cell,
 )
 from repro.service.client import LoadReport, ServiceClient, run_load
 from repro.service.server import ServiceServer
@@ -42,7 +37,6 @@ __all__ = [
     "AdmissionController",
     "LoadReport",
     "Rejection",
-    "ServiceCampaignResult",
     "ServiceClient",
     "ServiceConfig",
     "ServiceServer",
@@ -50,6 +44,4 @@ __all__ = [
     "TokenBucket",
     "TransactionService",
     "run_load",
-    "run_service_campaign",
-    "run_service_cell",
 ]

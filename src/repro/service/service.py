@@ -23,7 +23,7 @@ the batch's transactions under the chosen protocol), while the service adds
 arrival concurrency, admission control and deadlines around it.  The group
 keeps every commit, so ``certify(exact=True)`` judges the whole run with
 its composed oracle — at one shard exactly
-:func:`repro.fuzz.oracle.check_history`, like any fuzz cell.
+:func:`repro.core.judge.check_history`, like any fuzz cell.
 
 Deadlines ride the executor's logical clock: a request admitted with a
 ``deadline_ticks`` budget gets ``deadline_tick = executor.now + budget``
@@ -51,11 +51,11 @@ from dataclasses import dataclass, field
 
 from collections import deque
 
+from repro.catalog import GeneratorProfile, generate, sharded_profile
 from repro.errors import DatabaseError
-from repro.fuzz.generator import GeneratorProfile, generate, sharded_profile
 from repro.oodb.session import DatabaseSession
-from repro.oodb.wal import WriteAheadLog
 from repro.oodb.store import FileBackedPageStore
+from repro.oodb.wal import WriteAheadLog
 from repro.runtime.executor import ExecutionResult, RetryPolicy
 from repro.service.admission import (
     REJECT_QUEUE_FULL,
@@ -701,7 +701,7 @@ class TransactionService:
         """Judge the service's committed history with the paper's oracle.
 
         With the online audit on (the default) the verdict is the audit's,
-        in :class:`~repro.fuzz.oracle.OracleReport` shape, with no replay.
+        in :class:`~repro.core.judge.OracleReport` shape, with no replay.
         A violation, ``exact=True``, an ``ablation`` or no online audit is
         judged by the group's exact oracle, witnesses included
         (:meth:`~repro.shard.service.ShardGroup.certify`).

@@ -9,8 +9,7 @@ cycle (:mod:`repro.shard.coordinator`).  The engine is one copy deep:
 the shard-side executor in :mod:`repro.shard.executor`; the shard unit, the
 barrier loop, the Def 16 composition and ``ShardGroup`` — the one driver
 of the units, behind the service at every shard count and every fuzz cell
-— in :mod:`repro.shard.service`; the fuzz cell (one batch of a fresh
-group) and the canonical cell report in :mod:`repro.shard.runtime`;
+(:mod:`repro.fuzz.sharded`) — in :mod:`repro.shard.service`;
 presumed-abort segment recovery in :mod:`repro.shard.recovery`.
 """
 
@@ -29,14 +28,6 @@ from repro.shard.recovery import (
     load_decisions,
     resolve_segments,
 )
-from repro.shard.runtime import (
-    ShardedResult,
-    ShardSummary,
-    format_cell_report,
-    merge_events,
-    run_sharded_cell,
-    single_core_text,
-)
 from repro.shard.service import (
     ShardGroup,
     ShardState,
@@ -54,19 +45,13 @@ __all__ = [
     "ShardMap",
     "ShardResolution",
     "ShardState",
-    "ShardSummary",
-    "ShardedResult",
     "base_label",
     "call_components",
     "canonical_cycle",
     "compose_report",
     "drive_epochs",
-    "format_cell_report",
     "in_doubt_attempts",
     "load_decisions",
-    "merge_events",
     "resolve_segments",
-    "run_sharded_cell",
-    "single_core_text",
     "split_ops",
 ]

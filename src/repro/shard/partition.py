@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fuzz.generator import WorkloadSpec
+from repro.catalog import WorkloadSpec
 
 
 def call_components(spec: WorkloadSpec) -> list[list[str]]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.fuzz.generator import WorkloadSpec, host_workload
+from repro.catalog import WorkloadSpec, host_workload
 from repro.oodb.database import ObjectDatabase
 from repro.oodb.wal import (
     RecoveryReport,

@@ -4,7 +4,7 @@
 :class:`~repro.shard.executor.ShardExecutor`, online certifier, clock
 offset and cumulative committed attempts — and :class:`ShardGroup` is its
 only driver.  A fresh group run for one batch of programs is a fuzz cell
-(:func:`repro.shard.runtime.run_sharded_cell`); a group reused batch after
+(:func:`repro.fuzz.sharded.run_sharded_cell`); a group reused batch after
 batch is the service's engine at every shard count.  One shard is the
 single-core case: no transaction spans shards, nothing coordinates, and the
 run is byte-identical to the plain executor.
@@ -23,9 +23,9 @@ ends with every attempt decided — a quiescent point no cycle spans (DESIGN
 
 The verdict composes the same way for a cell and for a service run
 (:func:`compose_report`): objects never span shards, so every unit's
-committed projection must pass the local Def 10-14 analysis — the fuzz
-oracle's own :func:`~repro.fuzz.oracle.judge_committed` — and the
-base-mapped union of their Definition 15 constraint sets must stay acyclic.
+committed projection must pass the local Def 10-14 analysis — the one
+judge, :func:`~repro.core.judge.judge_committed` — and the base-mapped
+union of their Definition 15 constraint sets must stay acyclic.
 The online audit (:meth:`ShardGroup.audit_batch`) is the same composition
 one batch at a time: each unit's :class:`~repro.core.certify.OnlineCertifier`
 certifies and seals the unit's commits, and after a coordinating batch the
@@ -35,18 +35,19 @@ union of the units' final Definition 15 edges must be acyclic.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 
+from repro.catalog import WorkloadSpec, host_workload
 from repro.core.certify import OnlineCertifier, certified_base
 from repro.core.graph import OnlineTopology
-from repro.core.serializability import analyze_system
-from repro.errors import SimulationError
-from repro.fuzz.generator import WorkloadSpec, host_workload
-from repro.fuzz.oracle import (
+from repro.core.judge import (
     Ablation,
     OracleReport,
     judge_committed,
     strictness_for,
 )
+from repro.core.serializability import analyze_system
+from repro.errors import SimulationError
 from repro.obs.events import EventBus, event_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.oodb.trace import committed_history
@@ -90,7 +91,7 @@ class ShardState:
     ``owned`` are the object specs the owner's :class:`ShardMap` assigned to
     this shard; ``seed`` is the run's seed (the unit strides it by shard).
     ``ablation`` weakens the registry behind :meth:`current_edges` — the
-    fuzz oracle's self-test; the service leaves it unset.
+    judge's self-test; the service leaves it unset.
     """
 
     def __init__(
@@ -147,7 +148,13 @@ class ShardState:
         # barrier-aligned offset.  At one shard the offset is always 0 and
         # this is exactly the executor's own clock.
         self.db.bus.clock = lambda: self.clock_offset + self.executor.now
-        self.certifier = OnlineCertifier(
+
+    @cached_property
+    def certifier(self) -> OnlineCertifier:
+        """The unit's online audit, built by its first
+        :meth:`ShardGroup.audit_batch`: a unit that never audits (a fuzz
+        cell) registers no ``certify_*`` metric."""
+        return OnlineCertifier(
             certified_base(self.db.system),
             self.db.commutativity_registry().copy(),
             strict_cross_object=self.strict,
@@ -233,7 +240,7 @@ class ShardState:
         return _base_edges(verdict.top_order_constraints)
 
     def judge(self, ablation: Ablation | None = None):
-        """:func:`~repro.fuzz.oracle.judge_committed` of everything this
+        """:func:`~repro.core.judge.judge_committed` of everything this
         shard has committed: ``(report, oo_edges, conv_edges)``."""
         return judge_committed(
             self.db,
@@ -319,7 +326,7 @@ def compose_report(
 
     The conventional baseline composes the same way over page-conflict
     constraints.  One shard with nothing to add is its own report, so a
-    one-shard verdict is :func:`~repro.fuzz.oracle.check_history`'s.
+    one-shard verdict is :func:`~repro.core.judge.check_history`'s.
     """
     if len(judgements) == 1 and not coord_violations and not atomicity:
         return replace(judgements[0][0], committed=committed, gave_up=gave_up)
@@ -363,7 +370,7 @@ class ShardGroup:
 
     The service's engine thread hands it batch after batch of admitted
     requests, then :meth:`audit_batch`; a fuzz cell is a fresh group run
-    for one batch (:func:`repro.shard.runtime.run_sharded_cell`).
+    for one batch (:func:`repro.fuzz.sharded.run_sharded_cell`).
     :meth:`run_batch` splits every request's ops across the owning shards,
     registers multi-shard transactions with the coordinator, drives the
     epochs until the batch drains, and merges the branch outcomes.

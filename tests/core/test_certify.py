@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.catalog import GeneratorProfile, generate
 from repro.core.certify import (
     ESCALATE_CONFLICT,
     ESCALATE_EXTENSION,
@@ -24,11 +25,10 @@ from repro.core.certify import (
     certify_history,
 )
 from repro.core.commutativity import CommutativityRegistry
+from repro.core.judge import check_history, strictness_for
 from repro.core.transactions import TransactionSystem
 from repro.errors import ScheduleError
 from repro.fuzz.driver import execute_cell
-from repro.fuzz.generator import GeneratorProfile, generate
-from repro.fuzz.oracle import check_history, strictness_for
 from repro.obs.metrics import MetricsRegistry
 
 

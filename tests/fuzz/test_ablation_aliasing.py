@@ -8,10 +8,10 @@ sharing the database — an ablated cell would contaminate the clean cell
 after it.  ``apply`` must mutate a copy.
 """
 
+from repro.catalog import generate
 from repro.core.commutativity import CommutativityRegistry, ReadWriteCommutativity
+from repro.core.judge import Ablation, BrokenSpec, check_history, strictness_for
 from repro.fuzz.driver import execute_cell
-from repro.fuzz.generator import generate
-from repro.fuzz.oracle import Ablation, BrokenSpec, check_history, strictness_for
 
 
 def test_apply_returns_a_copy():

@@ -9,11 +9,11 @@ exactly like one judged by the oracle alone.
 
 import pytest
 
+from repro.catalog import GeneratorProfile, generate
 from repro.core.certify import certify_history
+from repro.core.judge import Ablation, check_history, strictness_for
 from repro.errors import ReproError
 from repro.fuzz.driver import FUZZ_PROTOCOLS, execute_cell
-from repro.fuzz.generator import GeneratorProfile, generate
-from repro.fuzz.oracle import Ablation, check_history, strictness_for
 
 #: ≥50 seeds per protocol (ISSUE 8 acceptance criterion)
 SEEDS = range(50)

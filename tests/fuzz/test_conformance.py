@@ -4,7 +4,7 @@ Each protocol gets its own parametrized case running the smoke generator
 profile over a block of seeds and demanding a clean oracle verdict on every
 committed history (strict cross-object closure for the commit-duration
 protocols, the literal Definition 13/16 reading for the early-release
-protocols — see ``repro.fuzz.oracle``).  Further cases pin the generator's
+protocols — see ``repro.core.judge``).  Further cases pin the generator's
 determinism and Definition 5 coverage, prove the ablated oracle actually
 detects a broken commutativity entry, and freeze the shrinker's
 counterexample file format.
@@ -14,18 +14,15 @@ import json
 
 import pytest
 
+from repro.catalog import GeneratorProfile, WorkloadSpec, generate
+from repro.core.judge import Ablation, strictness_for
 from repro.fuzz import (
     FUZZ_PROTOCOLS,
-    Ablation,
-    GeneratorProfile,
     counterexample_dict,
-    generate,
     run_campaign,
     run_cell,
     shrink,
-    strictness_for,
 )
-from repro.fuzz.generator import WorkloadSpec
 from repro.fuzz.shrink import COUNTEREXAMPLE_VERSION
 
 SMOKE_SEEDS = list(range(50))

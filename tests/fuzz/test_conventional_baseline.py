@@ -10,11 +10,12 @@ committed projection and on one whose trees an
 
 import pytest
 
+from repro.catalog import GeneratorProfile, generate
 from repro.core.certify import OnlineCertifier, certified_base
+from repro.core.judge import strictness_for
 from repro.core.serializability import conventional_baseline
-from repro.fuzz import FUZZ_PROTOCOLS, GeneratorProfile, generate
+from repro.fuzz import FUZZ_PROTOCOLS
 from repro.fuzz.driver import execute_cell
-from repro.fuzz.oracle import strictness_for
 from repro.oodb.trace import committed_history
 
 SEEDS = range(10)

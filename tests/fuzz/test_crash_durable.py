@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro.catalog import GeneratorProfile, WorkloadSpec, generate
 from repro.faults import DURABLE_CRASH_SITES, FaultPlan
 from repro.fuzz.crash import (
     DurableConfig,
@@ -23,7 +24,6 @@ from repro.fuzz.crash import (
     run_crash_campaign,
     run_crash_cell,
 )
-from repro.fuzz.generator import GeneratorProfile, WorkloadSpec, generate
 
 SMOKE = GeneratorProfile.smoke()
 DURABLE = DurableConfig(frames=6, checkpoint_every=24)

@@ -8,6 +8,7 @@ import copy
 
 import pytest
 
+from repro.catalog import GeneratorProfile, generate
 from repro.faults import FaultPlan
 from repro.fuzz.crash import (
     ARMED_SITES,
@@ -16,7 +17,6 @@ from repro.fuzz.crash import (
     run_crash_campaign,
     run_crash_cell,
 )
-from repro.fuzz.generator import GeneratorProfile, generate
 from repro.oodb.log import CompensationRecord
 
 SMOKE = GeneratorProfile.smoke()

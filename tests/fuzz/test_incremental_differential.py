@@ -22,20 +22,20 @@ import random
 
 import pytest
 
+from repro.catalog import generate
+from repro.core.certify import OnlineCertifier
 from repro.core.commutativity import (
     CommutativityRegistry,
     MatrixCommutativity,
     ReadWriteCommutativity,
 )
-from repro.core.certify import OnlineCertifier
 from repro.core.dependency import IncrementalDependencyEngine
 from repro.core.identifiers import is_virtual
+from repro.core.judge import Ablation, strictness_for
 from repro.core.serializability import analyze_system
 from repro.core.transactions import TransactionSystem
 from repro.errors import ReproError
 from repro.fuzz.driver import FUZZ_PROTOCOLS, execute_cell
-from repro.fuzz.generator import generate
-from repro.fuzz.oracle import Ablation, strictness_for
 from repro.oodb.trace import committed_projection
 from tests.reference_analysis import reference_analyze_system
 

@@ -1,9 +1,9 @@
 """One exact judge: every caller that turns a committed history into a
-verdict goes through :func:`repro.fuzz.oracle.judge_committed`.
+verdict goes through :func:`repro.core.judge.judge_committed`.
 
 A one-shard :class:`~repro.shard.service.ShardGroup` and the service's
 ``certify(exact=True)`` must report exactly what
-:func:`~repro.fuzz.oracle.check_history` reports for the same history —
+:func:`~repro.core.judge.check_history` reports for the same history —
 field for field, description included — and one judgement runs the
 conventional page-conflict baseline once.
 """
@@ -12,13 +12,13 @@ import random
 
 import pytest
 
+from repro.catalog import GeneratorProfile, generate
 from repro.core import serializability
-from repro.fuzz import oracle
-from repro.fuzz.generator import GeneratorProfile, generate
-from repro.fuzz.oracle import Ablation, check_history, strictness_for
+from repro.core import judge
+from repro.core.judge import Ablation, check_history, strictness_for
+from repro.fuzz.sharded import CELL_MAX_TICKS
 from repro.service.client import generate_ops
 from repro.service.service import ServiceConfig, TransactionService
-from repro.shard.runtime import CELL_MAX_TICKS
 from repro.shard.service import ShardGroup
 
 SMOKE = GeneratorProfile.smoke()
@@ -93,7 +93,7 @@ def _count_graph_builds(monkeypatch) -> list:
         return real(*args, **kwargs)
 
     monkeypatch.setattr(serializability, "conventional_baseline", counting)
-    monkeypatch.setattr(oracle, "conventional_baseline", counting, raising=False)
+    monkeypatch.setattr(judge, "conventional_baseline", counting, raising=False)
     return builds
 
 

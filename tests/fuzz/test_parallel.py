@@ -10,13 +10,13 @@ the results structurally (the CLI layer then renders identical bytes).
 from pathlib import Path
 
 from repro.analysis import render_table
+from repro.catalog import GeneratorProfile
 from repro.fuzz.crash import (
     DurableConfig,
     run_crash_campaign,
     run_seed_crash_cells,
 )
 from repro.fuzz.driver import run_campaign, run_seed_cells
-from repro.fuzz.generator import GeneratorProfile
 from repro.fuzz.parallel import iter_seed_results
 
 SMOKE = GeneratorProfile.smoke()

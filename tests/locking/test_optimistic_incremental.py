@@ -12,9 +12,9 @@ badly invalidated cache would diverge).
 
 import pytest
 
+from repro.catalog import generate
 from repro.errors import ReproError
 from repro.fuzz.driver import run_cell
-from repro.fuzz.generator import generate
 from repro.locking import OptimisticCertifier
 from repro.oodb.trace import committed_projection
 from tests.reference_analysis import reference_analyze_system

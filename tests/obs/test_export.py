@@ -2,8 +2,8 @@
 
 import json
 
+from repro.catalog import GeneratorProfile, generate
 from repro.fuzz.driver import execute_cell
-from repro.fuzz.generator import GeneratorProfile, generate
 from repro.obs import (
     EventBus,
     EventLog,

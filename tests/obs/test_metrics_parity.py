@@ -10,8 +10,8 @@ from collections import Counter as TallyCounter
 
 import pytest
 
+from repro.catalog import GeneratorProfile, generate
 from repro.fuzz.driver import FUZZ_PROTOCOLS, execute_cell
-from repro.fuzz.generator import GeneratorProfile, generate
 from repro.obs import STAT_KEYS, EventBus, EventLog
 
 SEEDS = range(20)

@@ -16,10 +16,10 @@ from dataclasses import asdict
 import pytest
 
 import repro.oodb.wal as wal_module
+from repro.catalog import GeneratorProfile, generate, host_workload
 from repro.faults import FaultPlan
 from repro.fuzz.crash import crash_census
 from repro.fuzz.driver import execute_cell
-from repro.fuzz.generator import GeneratorProfile, generate, host_workload
 from repro.oodb.store import FileBackedPageStore
 from repro.oodb.wal import (
     LogFile,

@@ -11,9 +11,9 @@ import time
 
 import pytest
 
+from repro.catalog import GeneratorProfile, generate, host_workload
 from repro.errors import SimulationError
 from repro.fuzz import FUZZ_PROTOCOLS
-from repro.fuzz.generator import GeneratorProfile, generate, host_workload
 from repro.oodb.database import ObjectDatabase
 from repro.runtime.executor import InterleavedExecutor
 from repro.runtime.program import TransactionProgram

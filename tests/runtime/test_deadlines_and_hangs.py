@@ -7,14 +7,14 @@ import threading
 import pytest
 
 from repro.analysis.compare import make_scheduler
-from repro.errors import DeadlineExceeded, SimulationError, TransactionAborted
-from repro.fuzz.generator import (
+from repro.catalog import (
     MethodPlan,
     ObjectSpec,
     ProgramSpec,
     WorkloadSpec,
     build_workload,
 )
+from repro.errors import DeadlineExceeded, SimulationError, TransactionAborted
 from repro.oodb.database import ObjectDatabase
 from repro.runtime.executor import (
     InterleavedExecutor,

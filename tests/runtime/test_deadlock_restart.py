@@ -11,14 +11,14 @@ the oracle still accepts.
 import pytest
 
 from repro.analysis.compare import make_scheduler
-from repro.fuzz import check_history, strictness_for
-from repro.fuzz.generator import (
+from repro.catalog import (
     MethodPlan,
     ObjectSpec,
     ProgramSpec,
     WorkloadSpec,
     build_workload,
 )
+from repro.core.judge import check_history, strictness_for
 from repro.oodb.database import ObjectDatabase
 from repro.runtime.executor import InterleavedExecutor
 

@@ -8,8 +8,8 @@ run.  Separately, a worker that exhausts its restart budget is marked
 """
 
 from repro.core.commutativity import MatrixCommutativity
+from repro.core.judge import check_history
 from repro.faults import FaultPlan
-from repro.fuzz.oracle import check_history
 from repro.locking import PageLocking2PL
 from repro.oodb import DatabaseObject, ObjectDatabase, dbmethod
 from repro.oodb.wal import WriteAheadLog

@@ -23,10 +23,10 @@ from repro.core.certify import OnlineCertifier, certified_base
 from repro.core.commutativity import CommutativityRegistry
 from repro.core.dependency import IncrementalDependencyEngine
 from repro.core.identifiers import is_virtual
+from repro.core.judge import Ablation, check_history, strictness_for
 from repro.core.schedule import ObjectSchedule
 from repro.errors import ScheduleError
 from repro.fuzz.driver import FUZZ_PROTOCOLS
-from repro.fuzz.oracle import Ablation, check_history, strictness_for
 from repro.service.admission import TenantQuota
 from repro.service.client import generate_ops
 from repro.service.service import MAX_TICKS, ServiceConfig, TransactionService

@@ -250,7 +250,7 @@ class TestAudit:
         assert len(result.committed_labels) == 3
 
     def test_certification_uses_protocol_strictness(self):
-        from repro.fuzz.oracle import strictness_for
+        from repro.core.judge import strictness_for
 
         for protocol in ("page-2pl", "open-nested-oo"):
             service = TransactionService(

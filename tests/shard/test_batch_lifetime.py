@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.fuzz.generator import GeneratorProfile, generate
+from repro.catalog import GeneratorProfile, generate
 from repro.runtime.program import base_label
 from repro.service.client import generate_ops
 from repro.shard import service

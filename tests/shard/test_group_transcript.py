@@ -12,7 +12,7 @@ loop, so it is the comparison between the two shapes.
 import pathlib
 import random
 
-from repro.fuzz.generator import GeneratorProfile, generate
+from repro.catalog import GeneratorProfile, generate
 from repro.service.client import generate_ops
 from repro.shard.service import ShardGroup
 

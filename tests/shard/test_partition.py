@@ -1,6 +1,6 @@
 """Static partitioning: call components, the shard map, workload splits."""
 
-from repro.fuzz.generator import GeneratorProfile, generate
+from repro.catalog import GeneratorProfile, generate
 from repro.shard import ShardGroup, ShardMap, call_components, split_ops
 
 GROUPED = GeneratorProfile.smoke().grouped(2)

@@ -8,15 +8,11 @@ the transaction's effects) and presume abort for everything undecided.
 
 import pytest
 
+from repro.catalog import GeneratorProfile, generate
 from repro.faults.plan import FaultPlan
-from repro.fuzz.generator import GeneratorProfile, generate
+from repro.fuzz.sharded import run_sharded_cell
 from repro.oodb.wal import WriteAheadLog
-from repro.shard import (
-    in_doubt_attempts,
-    load_decisions,
-    resolve_segments,
-    run_sharded_cell,
-)
+from repro.shard import in_doubt_attempts, load_decisions, resolve_segments
 from repro.shard.coordinator import COMMIT
 
 GROUPED = GeneratorProfile.smoke().grouped(2)

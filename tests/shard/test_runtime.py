@@ -3,10 +3,10 @@ determinism, composed-oracle verdicts."""
 
 import pytest
 
+from repro.catalog import GeneratorProfile, generate
+from repro.core.judge import Ablation
 from repro.fuzz import FUZZ_PROTOCOLS
-from repro.fuzz.generator import GeneratorProfile, generate
-from repro.fuzz.oracle import Ablation
-from repro.shard import run_sharded_cell, single_core_text
+from repro.fuzz.sharded import run_sharded_cell, single_core_text
 
 SMOKE = GeneratorProfile.smoke()
 GROUPED = SMOKE.grouped(2)

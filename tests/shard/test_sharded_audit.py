@@ -13,9 +13,9 @@ import functools
 
 import pytest
 
+from repro.core.judge import Ablation
+from repro.fuzz import service_campaign as campaign
 from repro.fuzz.driver import FUZZ_PROTOCOLS
-from repro.fuzz.oracle import Ablation
-from repro.service import campaign
 from repro.service.service import TransactionService
 
 SEEDS = (0, 1, 2)

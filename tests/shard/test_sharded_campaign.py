@@ -1,7 +1,7 @@
 """The fuzz campaign driver on the sharded runtime (``--shards``)."""
 
+from repro.catalog import GeneratorProfile
 from repro.fuzz.driver import run_campaign
-from repro.fuzz.generator import GeneratorProfile
 
 SMOKE = GeneratorProfile.smoke()
 

@@ -5,18 +5,18 @@ import threading
 
 import pytest
 
+from repro.catalog import GeneratorProfile, generate
 from repro.errors import DatabaseError, SimulationError
-from repro.fuzz.generator import GeneratorProfile, generate
-from repro.service.client import generate_ops
 from repro.runtime.program import program_from_ops
+from repro.service.client import generate_ops
 from repro.service.service import (
     MAX_TICKS,
     ServiceConfig,
     TransactionService,
 )
-from repro.shard.partition import split_ops
 from repro.shard import service
 from repro.shard.coordinator import ABORT, COMMIT
+from repro.shard.partition import split_ops
 from repro.shard.service import ShardGroup
 
 

@@ -99,10 +99,10 @@ def test_fuzz_crash_ablate_self_test():
 def test_recover_command(tmp_path):
     import json
 
+    from repro.catalog import GeneratorProfile, generate
     from repro.faults import FaultPlan
     from repro.fuzz.crash import crash_census
     from repro.fuzz.driver import execute_cell
-    from repro.fuzz.generator import GeneratorProfile, generate
     from repro.oodb.wal import WriteAheadLog
 
     spec = generate(0, GeneratorProfile.smoke())
@@ -135,8 +135,8 @@ def test_fuzz_crash_durable_smoke():
 
 
 def test_recover_data_dir_round_trip(tmp_path):
+    from repro.catalog import GeneratorProfile, generate
     from repro.fuzz.driver import execute_cell
-    from repro.fuzz.generator import GeneratorProfile, generate
     from repro.oodb.store import FileBackedPageStore
     from repro.oodb.wal import WriteAheadLog
 
@@ -299,7 +299,7 @@ def test_certify_timeout_exits_124(capsys):
 def test_certify_replay_counterexample(tmp_path):
     import json
 
-    from repro.fuzz.generator import GeneratorProfile, generate
+    from repro.catalog import GeneratorProfile, generate
 
     spec = generate(3, GeneratorProfile.smoke())
     # The fields `repro fuzz --replay` reads; a shrunk counterexample file
