@@ -109,6 +109,13 @@ ESCALATE_CONFLICT = "conflicting-straggler"
 #: scans for conflicts before escalating instead
 STRAGGLER_SCAN_LIMIT = 64
 
+#: the cumulative counters a report carries; :meth:`OnlineCertifier.retract`
+#: winds them back to the epoch's start before it refeeds the epoch
+_COUNTERS = (
+    "committed actions fast_commits escalated_commits stragglers_scanned "
+    "escalated escalation_reason epochs escalated_epochs"
+).split()
+
 
 @dataclass
 class CertificationReport:
@@ -194,11 +201,12 @@ class _Timeline:
 class OnlineCertifier:
     """Certify committed transactions one at a time against a growing history.
 
-    The state the certifier holds — the exact engine, the catch-up log,
-    the per-object timelines, the trees in ``system`` — belongs to the
-    current *epoch*.  :meth:`seal` ends the epoch at a quiescent point and
-    drops all of it; the counters, ``escalated`` ("some epoch escalated"),
+    The state the certifier holds — the exact engine, the feed log, the
+    per-object timelines, the trees in ``system`` — belongs to the current
+    *epoch*.  :meth:`seal` ends the epoch at a quiescent point and drops
+    all of it; the counters, ``escalated`` ("some epoch escalated"),
     ``escalation_reason`` (the most recent) and ``violated`` are cumulative.
+    :meth:`retract` takes one tree of the current epoch back.
 
     Parameters
     ----------
@@ -249,11 +257,12 @@ class OnlineCertifier:
         self.violated = False
         self.epochs = 0
         self.escalated_epochs = 0
-        #: trees fed since the last seal (what the certifier still holds)
-        self.live_transactions = 0
         self._engine: IncrementalDependencyEngine | None = None
-        #: (txn, extras) in fed order — the escalation catch-up replay
-        self._log: list[tuple[OOTransaction, tuple[ActionNode, ...]]] = []
+        #: the epoch's (txn, extras, stragglers scanned) in fed order: the
+        #: escalation catch-up replay and what :meth:`retract` rebuilds from
+        self._log: list[tuple[OOTransaction, tuple[ActionNode, ...], int]] = []
+        #: the :data:`_COUNTERS` as the current epoch found them
+        self._epoch_base: list = []
         self._timelines: dict[ObjectId, _Timeline] = {}
         #: highest stamp fed so far / as of the last seal
         self._high_seq = 0
@@ -295,39 +304,74 @@ class OnlineCertifier:
     def oo_serializable(self) -> bool:
         return not self.violated
 
+    @property
+    def live_transactions(self) -> int:
+        """Trees fed since the last seal (what the certifier still holds)."""
+        return len(self._log)
+
     def observe_commit(self, txn: OOTransaction) -> bool:
         """Certify one more committed transaction.
 
         Returns True while the history so far is certified
-        oo-serializable; the first False is final (violations are monotone
-        — later commits cannot undo a closed cycle).
+        oo-serializable.  Violations are monotone — later commits cannot
+        undo a closed cycle — so the first False is final unless the tree
+        that closed it is taken back with :meth:`retract`.
         """
         if self.violated:
             return False
         self._admit(txn)
         self.committed += 1
         self.system.adopt(txn)
-        if self._engine is not None:
-            return self._feed_engine(txn)
         extras: tuple[ActionNode, ...] = ()
         if not self.pre_extended:
             linearize_effects(self.system, tops=[txn])
             extras = tuple(extend_system(self.system, tops=[txn]).duplicates)
-        self._log.append((txn, extras))
-        # Virtual duplicates break the fast path's premise that every
-        # same-tree pair is program-ordered (duplicates are appended to
-        # their peer's children without precedence edges) — exact territory.
-        reason = ESCALATE_EXTENSION if extras else self._screen(txn)
-        if reason is None:
-            self.fast_commits += 1
-            if self._m_fast is not None:
-                self._m_fast.value += 1
+            if self._engine is not None:
+                extras += tuple(self._foreign_duplicates(txn))
+        return self._feed(txn, extras)
+
+    def retract(self, txn: OOTransaction) -> bool:
+        """Take back a tree fed in the current epoch, as if never fed.
+
+        False (and nothing changes) when ``txn`` is not held.  On the fast
+        path this costs the one tree: its timeline entries, log entry and
+        TOP membership go, and the counters drop its share.  An escalated
+        epoch is refed from the log without it, from the fast path, so
+        ``violated`` and every counter read as if it had never been fed
+        (metrics count work done, the refeed's included).  The splits of
+        the held trees stay, and a later tree joins them; the splits of
+        ``txn``'s own offenders end (:meth:`TransactionSystem.retract`).
+        """
+        log = self._log
+        for index, (fed, _, scanned) in enumerate(log):
+            if fed is txn:
+                break
+        else:
+            return False
+        del log[index]
+        dropped = self.system.retract(txn)
+        if self._engine is None and log and not dropped:
+            self.committed -= 1
+            self.fast_commits -= 1
+            self.stragglers_scanned -= scanned
+            self.actions -= self._unthread(txn)
+            if self._m_live is not None:
+                self._m_live.value -= 1
             return True
-        self.escalate(reason)
-        self.escalated_commits += 1
-        if self._m_exact is not None:
-            self._m_exact.value += 1
-        return not self.violated
+        gone = {id(action) for action in (*txn.actions(), *dropped)}
+        for name, value in zip(_COUNTERS, self._epoch_base):
+            setattr(self, name, value)
+        self._engine = None
+        self._log = []
+        self._timelines.clear()
+        self.violated = False
+        if self._m_live is not None:
+            self._m_live.value = 0
+        for fed, extras, _ in log:
+            self._admit(fed)
+            self.committed += 1
+            self._feed(fed, tuple(d for d in extras if id(d) not in gone))
+        return True
 
     def seal(self) -> None:
         """End the epoch: everything fed so far precedes everything to come.
@@ -337,7 +381,7 @@ class OnlineCertifier:
         service calls this between executor batches, when nothing is in
         flight and the shared stamp clock only moves forward).  Under that
         promise no cycle can span the seal (module docstring), so the
-        exact engine, the catch-up log, the timelines, the trees held in
+        exact engine, the feed log, the timelines, the trees held in
         ``system`` and the virtual objects declared for them are dropped
         and the next commit starts on the fast path.  :meth:`observe_commit`
         enforces the promise stamp by stamp.
@@ -354,7 +398,6 @@ class OnlineCertifier:
         self._timelines.clear()
         self.system.retire_tops()
         self._sealed_seq = self._high_seq
-        self.live_transactions = 0
         if self._m_live is not None:
             self._m_live.value = 0
 
@@ -383,28 +426,19 @@ class OnlineCertifier:
             extend=not self.pre_extended,
         )
         self._engine = engine
-        for txn, extras in self._log:
+        for txn, extras, _ in self._log:
             if engine.violated:
                 break
             # Logged trees are already re-stamped and extended; hand the
             # recorded duplicates over instead of re-deriving them.
             engine.append_transaction(txn, extras=extras)
-        self._log.clear()
         self.violated = engine.violated
 
     def report(self, *, gave_up: int = 0) -> CertificationReport:
         return CertificationReport(
             ok=not self.violated,
-            committed=self.committed,
-            actions=self.actions,
-            fast_commits=self.fast_commits,
-            escalated_commits=self.escalated_commits,
-            stragglers_scanned=self.stragglers_scanned,
-            escalated=self.escalated,
-            escalation_reason=self.escalation_reason,
             gave_up=gave_up,
-            epochs=self.epochs,
-            escalated_epochs=self.escalated_epochs,
+            **{name: getattr(self, name) for name in _COUNTERS},
         )
 
     def _admit(self, txn: OOTransaction) -> None:
@@ -432,14 +466,43 @@ class OnlineCertifier:
             if action.obj != SYSTEM_OBJECT and not action.virtual:
                 actions += 1
         self._high_seq = high
-        self.actions += actions
-        if self.live_transactions == 0:
+        if not self._log:
+            self._epoch_base = [getattr(self, name) for name in _COUNTERS]
             self.epochs += 1
             if self._m_epochs is not None:
                 self._m_epochs.value += 1
-        self.live_transactions += 1
+        self.actions += actions
         if self._m_live is not None:
             self._m_live.value += 1
+
+    def _feed(self, txn: OOTransaction, extras: tuple) -> bool:
+        """Certify an admitted, re-stamped, extended tree; log it."""
+        engine = self._engine
+        if engine is not None:
+            self._log.append((txn, extras, 0))
+            self.escalated_commits += 1
+            if self._m_exact is not None:
+                self._m_exact.value += 1
+            if not engine.violated:
+                engine.append_transaction(txn, extras=extras)
+            self.violated = engine.violated
+            return not self.violated
+        scanned = self.stragglers_scanned
+        # Virtual duplicates break the fast path's premise that every
+        # same-tree pair is program-ordered (duplicates are appended to
+        # their peer's children without precedence edges) — exact territory.
+        reason = ESCALATE_EXTENSION if extras else self._screen(txn)
+        self._log.append((txn, extras, self.stragglers_scanned - scanned))
+        if reason is None:
+            self.fast_commits += 1
+            if self._m_fast is not None:
+                self._m_fast.value += 1
+            return True
+        self.escalate(reason)
+        self.escalated_commits += 1
+        if self._m_exact is not None:
+            self._m_exact.value += 1
+        return not self.violated
 
     # -- the fast path --------------------------------------------------------
 
@@ -516,24 +579,25 @@ class OnlineCertifier:
                 certified.insert(idx, action)
         return None
 
-    # -- the exact path -------------------------------------------------------
+    def _unthread(self, txn: OOTransaction) -> int:
+        """Take a fast-path tree off its timelines; count what it held (an
+        action it gained after it was fed, a compensation, never was)."""
+        removed = 0
+        for action in txn.actions():
+            timeline = self._timelines.get(action.obj)
+            if timeline is None or action.virtual:
+                continue
+            seqs, held = timeline.seqs, timeline.actions
+            i = bisect_left(seqs, action.seq)
+            while i < len(seqs) and seqs[i] == action.seq:
+                if held[i] is action:
+                    del seqs[i], held[i]
+                    removed += 1
+                    break
+                i += 1
+        return removed
 
-    def _feed_engine(self, txn: OOTransaction) -> bool:
-        engine = self._engine
-        assert engine is not None
-        self.escalated_commits += 1
-        if self._m_exact is not None:
-            self._m_exact.value += 1
-        if not engine.violated:
-            if self.pre_extended:
-                engine.append_transaction(txn, extras=())
-            else:
-                linearize_effects(self.system, tops=[txn])
-                extras = list(extend_system(self.system, tops=[txn]).duplicates)
-                extras.extend(self._foreign_duplicates(txn))
-                engine.append_transaction(txn, extras=tuple(extras))
-        self.violated = engine.violated
-        return not self.violated
+    # -- the exact path -------------------------------------------------------
 
     def _foreign_duplicates(self, txn: OOTransaction) -> list[ActionNode]:
         """Duplicates another analysis attached for this tree's offenders.

@@ -102,6 +102,39 @@ class TransactionSystem:
         self._by_label[txn.label] = txn
         self._tops.append(txn)
 
+    def retract(self, txn: OOTransaction) -> list[ActionNode]:
+        """Take ``txn`` out of TOP again, with the splits it made.
+
+        The inverse of :meth:`adopt` for an analysis-private system.  A
+        virtual object one of ``txn``'s offenders was moved to stops being
+        a split (:attr:`splits`): later trees no longer join it, and the
+        duplicates on it come off the trees still in TOP; those are
+        returned, subtrees included.  Its name stays declared, so the
+        extension does not mint it again.  Every other split stays.
+        """
+        del self._by_label[txn.label]
+        self._tops.remove(txn)
+        splits = self.splits
+        own = {
+            a.obj for a in txn.actions() if not a.virtual and a.obj in splits
+        }
+        if not own:
+            return []
+        for oid in own:
+            del splits[oid]
+        dropped: list[ActionNode] = []
+        for held in self._tops:
+            for action in list(held.actions()):
+                gone = [
+                    c for c in action.children if c.virtual and c.obj in own
+                ]
+                if gone:
+                    action.children = [
+                        c for c in action.children if c not in gone
+                    ] or ()
+                    dropped.extend(a for c in gone for a in c.iter_subtree())
+        return dropped
+
     def retire_tops(self) -> None:
         """Empty TOP and forget the virtual objects split for its trees.
 

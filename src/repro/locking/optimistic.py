@@ -21,14 +21,16 @@ implemented here:
 Pages keep the usual short read/write locks for burst atomicity.
 
 The validator is the one incremental judge,
-:class:`~repro.core.certify.OnlineCertifier`: each candidate is fed to the
-judge of the current epoch (fast path first, the exact engine once it
-escalates), so a validation costs the candidate's own tree, not the
-history.  A failed candidate — or a validated one that aborts anyway —
-drops the judge; the next validation rebuilds it from the epoch's
-committed trees.  The executor's drain is the quiescent point
-(:meth:`seal`, DESIGN §6.15): the epoch ends there, so a service run holds
-at most one batch of trees and a fuzz cell stays one epoch.
+:class:`~repro.core.certify.OnlineCertifier`, built once per scheduler:
+each candidate is fed to it (fast path first, the exact engine once the
+epoch escalates), so a validation costs the candidate's own tree, not the
+history.  A failed candidate is retracted at once, and a validated one
+that aborts anyway (a fault, a cross-shard abort) is retracted by identity
+in :meth:`abort`; the judge then holds the epoch's committed trees plus
+the validated candidates still in flight.  The executor's drain is the
+quiescent point (:meth:`seal`, DESIGN §6.15): the epoch ends there, so a
+service run holds at most one batch of trees and a fuzz cell stays one
+epoch.
 
 Trade-off measured in bench C6: readers never block writers and vice
 versa, at the price of commit-time aborts when a read turns out to have
@@ -39,8 +41,6 @@ from __future__ import annotations
 
 from repro.core.actions import ActionNode, Invocation
 from repro.core.certify import OnlineCertifier, certified_base
-from repro.core.identifiers import ObjectId, is_virtual
-from repro.core.transactions import OOTransaction
 from repro.errors import TransactionAborted, UnknownMethodError
 from repro.locking.lock_table import LockingScheduler
 from repro.oodb.context import TransactionContext
@@ -59,22 +59,13 @@ class OptimisticCertifier(LockingScheduler):
         self._n_validation_failures = self._stat_counters[
             "validation_failures"
         ]
-        #: how often a failed/aborted candidate dropped the judge
         self._n_cache_resets = self._stat(
             "certification_cache_resets",
-            "validation judges dropped by a failed or aborted candidate",
+            "validation candidates retracted from the judge: failed, or "
+            "validated and aborted",
         )
-        #: the current epoch's judge; ``_dropped`` once it holds edges of
-        #: a candidate that will never commit (the next validation
-        #: replaces it)
+        #: the judge, built at the first validation and kept for life
         self._judge: OnlineCertifier | None = None
-        self._dropped = False
-        #: trees committed since the last seal: what a new judge refeeds
-        self._epoch: list[OOTransaction] = []
-        #: Definition 5 virtual objects replaced judges declared this epoch
-        self._virtual: set[ObjectId] = set()
-        #: candidate fed to the judge but not yet committed
-        self._pending_label: str | None = None
 
     # -- locking knobs ---------------------------------------------------------
 
@@ -126,69 +117,37 @@ class OptimisticCertifier(LockingScheduler):
                 raise TransactionAborted(ctx.txn_id, "validation failed")
 
     def _validate(self, ctx) -> bool:
-        """Feed the candidate to the epoch's judge.
+        """Feed the candidate to the judge; retract it if it fails.
 
         The judge mutates the shared call trees exactly as a from-scratch
         analysis would (re-stamping, Definition 5 extension), so its
-        decisions match one of committed ∪ {candidate}.  A candidate's
-        edges cannot be retracted, so a failed one drops the judge.
+        decisions match one of committed ∪ {candidate}.
         """
-        registry = self.db.commutativity_registry()
         judge = self._judge
-        if (
-            judge is None
-            or self._dropped
-            or judge.commutativity is not registry
-        ):
-            # First validation of the epoch, a dropped judge, or a created
-            # object (its specification joins a new registry): refeed the
-            # epoch's committed trees to a new judge.  The virtual objects
-            # the old one declared stay declared — a from-scratch analysis
-            # sees them on the trees they moved (the aborted candidates'
-            # included), so the extension must not mint their names again.
-            if judge is not None:
-                self._virtual.update(
-                    oid for oid in judge.system.objects if is_virtual(oid)
-                )
-            system = certified_base(self.db.system)
-            for oid in self._virtual:
-                system.declare_object(oid)
-            judge = self._judge = OnlineCertifier(system, registry)
-            self._dropped = False
-            for txn in self._epoch:
-                judge.observe_commit(txn)
+        if judge is None:
+            judge = self._judge = OnlineCertifier(
+                certified_base(self.db.system),
+                self.db.commutativity_registry(),
+            )
         if judge.observe_commit(ctx.txn):
-            self._pending_label = ctx.txn_id
             return True
-        self._dropped = True
-        self._pending_label = None
+        judge.retract(ctx.txn)
         self._n_cache_resets.value += 1
         return False
 
     def seal(self) -> None:
         """The executor drained: end the epoch (DESIGN §6.15)."""
-        if self._dropped:
-            self._judge = None
-        elif self._judge is not None:
+        if self._judge is not None:
             self._judge.seal()
-        self._dropped = False
-        self._epoch.clear()
-        self._virtual.clear()
 
     def commit(self, ctx) -> None:
         if self.db is not None and not ctx.runtime_data.get("compensating"):
             self._committed.append(ctx.txn_id)
-            self._epoch.append(ctx.txn)
-            if self._pending_label == ctx.txn_id:
-                self._pending_label = None  # candidate is now prefix
         super().commit(ctx)
 
     def abort(self, ctx) -> None:
-        if self._pending_label is not None and self._pending_label == ctx.txn_id:
-            # The candidate passed validation but aborts anyway (e.g. a
-            # fault between prepare and commit): the judge now holds a
-            # transaction that will never commit.  Drop it.
-            self._dropped = True
-            self._pending_label = None
+        # A candidate that passed validation but aborts anyway (a fault
+        # between prepare and commit, a cross-shard abort) leaves the judge.
+        if self._judge is not None and self._judge.retract(ctx.txn):
             self._n_cache_resets.value += 1
         super().abort(ctx)

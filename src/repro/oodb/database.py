@@ -226,7 +226,8 @@ class ObjectDatabase:
         self.store.note_write(page.page_id, self._last_alloc_lsn)
         obj = cls(self, oid, page.page_id)
         self._objects[oid] = obj
-        self._registry_cache = None  # a new object invalidates the registry
+        if self._registry_cache is not None:
+            self._registry_cache.register(oid, type(obj).commutativity)
         return obj
 
     def _run_setup(self, obj: DatabaseObject, args: tuple) -> None:
@@ -1020,10 +1021,11 @@ class ObjectDatabase:
         """The Definition 9 registry for everything this database executed:
         each object's type-level specification plus read/write pages.
 
-        The registry is cached (invalidated when an object is created) —
-        the optimistic certifier asks for it on every validation.  Callers
-        must treat the returned registry as read-only; anyone who needs to
-        mutate it (the oracle's ablation hook) works on ``.copy()``.
+        One registry serves the database's whole life: a created object
+        registers its specification on it (objects are never removed and
+        oids never reused).  Callers must treat the returned registry as
+        read-only; anyone who needs to mutate it (the oracle's ablation
+        hook) works on ``.copy()``.
         """
         if self._registry_cache is None:
             registry = CommutativityRegistry()

@@ -31,8 +31,6 @@ class _Sentinel:
         return self._name
 
 
-#: the forward action's after-image is not known (legacy absolute undo)
-UNKNOWN = _Sentinel("UNKNOWN")
 #: the forward action deleted the slot (there is no after-value)
 DELETED = _Sentinel("DELETED")
 
@@ -65,7 +63,7 @@ class UndoRecord:
     slot: Any
     had_slot: bool
     before: Any
-    after: Any = field(default=UNKNOWN, compare=False)
+    after: Any = field(compare=False)
     lsn: int | None = field(default=None, compare=False)
 
     def resolve(self, store) -> tuple:
@@ -77,7 +75,7 @@ class UndoRecord:
         """
         page = store.get(self.page_id)
         exact = ("set", self.before) if self.had_slot else ("del", None)
-        if self.after is UNKNOWN or self.after is DELETED:
+        if self.after is DELETED:
             return exact
         if not page.has(self.slot):
             # The forward-written slot is gone: nothing newer to preserve.

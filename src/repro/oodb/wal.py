@@ -97,7 +97,6 @@ from repro.obs.events import EventBus, WalAppend, WalSync
 from repro.oodb.context import TxnStatus
 from repro.oodb.log import (
     DELETED,
-    UNKNOWN,
     CompensationRecord,
     PageAllocationRecord,
     UndoRecord,
@@ -520,7 +519,7 @@ def _entry_to_dict(entry) -> dict:
     }
     if entry.after is DELETED:
         data["deleted"] = True
-    elif entry.after is not UNKNOWN:
+    else:
         data["after"] = entry.after
     return data
 
@@ -538,7 +537,10 @@ def _entry_from_dict(data: dict):
     elif "after" in data:
         after = data["after"]
     else:
-        after = UNKNOWN
+        raise DatabaseError(
+            f"WAL undo entry at LSN {data['lsn']} has neither 'after' nor "
+            "'deleted'; its undo cannot be resolved"
+        )
     return UndoRecord(
         page_id=data["page"],
         slot=data["slot"],

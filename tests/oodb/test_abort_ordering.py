@@ -15,7 +15,7 @@ import pytest
 from repro.core.commutativity import MatrixCommutativity
 from repro.locking import OpenNestedLocking
 from repro.oodb import DatabaseObject, ObjectDatabase, dbmethod
-from repro.oodb.log import DELETED, UNKNOWN, FrameLog, UndoRecord
+from repro.oodb.log import DELETED, FrameLog, UndoRecord
 from repro.oodb.pages import PageStore
 
 
@@ -61,11 +61,11 @@ class TestReverseChronologicalRollback:
 
     def test_journal_preserves_chronology_across_merges(self):
         parent, child = FrameLog(), FrameLog()
-        parent.record(UndoRecord("P", "a", True, 1))
-        child.record(UndoRecord("P", "a", True, 2))
-        child.record(UndoRecord("P", "b", False, None))
+        parent.record(UndoRecord("P", "a", True, 1, after=2))
+        child.record(UndoRecord("P", "a", True, 2, after=3))
+        child.record(UndoRecord("P", "b", False, None, after=0))
         parent.merge_child(child)
-        parent.record(UndoRecord("P", "a", True, 3))
+        parent.record(UndoRecord("P", "a", True, 3, after=4))
         assert [getattr(e, "before", None) for e in parent.entries] == [1, 2, None, 3]
         assert child.is_empty
 
@@ -89,11 +89,6 @@ class TestDeltaAwareUndo:
         store = self._store(total=12)
         rec = UndoRecord("P", "total", True, 5, after=8)
         assert rec.resolve(store) == ("set", 9)
-
-    def test_unknown_after_is_legacy_absolute(self):
-        store = self._store(total=12)
-        rec = UndoRecord("P", "total", True, 5, after=UNKNOWN)
-        assert rec.resolve(store) == ("set", 5)
 
     def test_undo_of_delete_restores_before(self):
         store = self._store()

@@ -1,7 +1,10 @@
 """Fuzzy checkpoints and durable (from-checkpoint) recovery."""
 
+import pytest
+
 from repro.core.commutativity import MatrixCommutativity
-from repro.locking import OpenNestedLocking
+from repro.errors import DatabaseError
+from repro.locking import OpenNestedLocking, PageLocking2PL
 from repro.oodb import DatabaseObject, ObjectDatabase, dbmethod
 from repro.oodb.store import FileBackedPageStore
 from repro.oodb.wal import WriteAheadLog, recover, store_digest
@@ -28,11 +31,11 @@ class Counter(DatabaseObject):
         return self.data.get("total", 0)
 
 
-def build_durable(root, frames=4, checkpoint_every=None):
+def build_durable(root, frames=4, checkpoint_every=None, scheduler=None):
     wal = WriteAheadLog()
     store = FileBackedPageStore(str(root), frames=frames, default_capacity=16)
     db = ObjectDatabase(
-        scheduler=OpenNestedLocking(),
+        scheduler=scheduler or OpenNestedLocking(),
         page_capacity=16,
         wal=wal,
         store=store,
@@ -153,3 +156,25 @@ class TestDurableRecovery:
         # the post-recovery checkpoint fenced redo: nothing to reapply
         assert second.redo_applied == 0
         assert second.losers == []
+
+
+def test_an_undo_entry_without_an_after_image_is_refused(tmp_path):
+    """A checkpointed undo entry carrying neither ``after`` nor ``deleted``
+    cannot be undone safely; recovery names its LSN instead of guessing."""
+    # page 2PL journals before-images, so the loser's entry is an undo
+    db, wal, oid = build_durable(tmp_path, scheduler=PageLocking2PL())
+    run_txns(db, oid, 1)
+    loser = db.begin("L")
+    db.send(loser, oid, "add", 100)
+    db.checkpoint()
+    records = wal.to_list()
+    end = next(r for r in reversed(records) if r["t"] == "ckpt-end")
+    (_, entry), *_ = end["att"]["journals"]["L"]
+    assert entry["k"] == "undo"
+    entry.pop("after")
+    wal.crash()
+    db.store.crash()
+
+    fresh = FileBackedPageStore(str(tmp_path), frames=4, default_capacity=16)
+    with pytest.raises(DatabaseError, match=f"LSN {entry['lsn']}"):
+        recover(WriteAheadLog.from_records(records), rebuild(), store=fresh)

@@ -263,6 +263,23 @@ class TestAnalysisBridge:
 
         assert isinstance(spec, ReadWriteCommutativity)
 
+    def test_one_registry_for_the_life_of_the_database(self, db):
+        """A created object registers on the registry already handed out,
+        nested creations included: a judge holding it never goes stale."""
+        parent = db.create(Box)
+        registry = db.commutativity_registry()
+        ctx = db.begin()
+        child = db.send(ctx, parent, "spawn", "kid")
+        db.commit(ctx)
+        later = db.create(Box)
+        assert db.commutativity_registry() is registry
+        assert registry.for_object(child) is Box.commutativity
+        assert registry.for_object(later) is Box.commutativity
+        page_id = db.get_object(child).page_id
+        assert registry.for_object(page_id) is registry.for_object(
+            db.get_object(parent).page_id
+        )
+
     def test_analyze_serial_run_is_serializable(self, db):
         oid = db.create(Box)
         for label in ("T1", "T2"):

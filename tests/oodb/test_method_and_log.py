@@ -67,7 +67,9 @@ class TestUndoRecords:
         store = PageStore()
         page = store.allocate("P")
         page.write("slot", "old")
-        record = UndoRecord("P", "slot", had_slot=True, before="old")
+        record = UndoRecord(
+            "P", "slot", had_slot=True, before="old", after="new"
+        )
         page.write("slot", "new")
         record.apply(store)
         assert page.read("slot") == "old"
@@ -75,7 +77,9 @@ class TestUndoRecords:
     def test_undo_removes_created_slot(self):
         store = PageStore()
         page = store.allocate("P")
-        record = UndoRecord("P", "slot", had_slot=False, before=None)
+        record = UndoRecord(
+            "P", "slot", had_slot=False, before=None, after="new"
+        )
         page.write("slot", "new")
         record.apply(store)
         assert not page.has("slot")
@@ -93,7 +97,7 @@ class TestFrameLog:
     def test_chronological_merge(self):
         parent = FrameLog()
         child = FrameLog()
-        parent.record(UndoRecord("P", "a", True, 1))
+        parent.record(UndoRecord("P", "a", True, 1, after=2))
         child.record(CompensationRecord("O", "undo", ()))
         parent.merge_child(child)
         assert len(parent) == 2
@@ -102,7 +106,7 @@ class TestFrameLog:
 
     def test_filters(self):
         log = FrameLog()
-        log.record(UndoRecord("P", "a", True, 1))
+        log.record(UndoRecord("P", "a", True, 1, after=2))
         log.record(CompensationRecord("O", "undo", ()))
         assert len(log.undo_entries) == 1
         assert len(log.compensations) == 1

@@ -192,6 +192,17 @@ def test_one_incremental_judge():
     ) == []
 
 
+def test_one_optimistic_judge_per_scheduler():
+    # retract, not drop-and-refeed: one construction, no rebuild state
+    assert len(grep(r"OnlineCertifier\(", "src/repro/locking")) == 1
+    assert grep(
+        r"_dropped|_pending_label|self\._epoch\b|self\._virtual\b"
+        r"|commutativity is not",
+        "src/repro/locking/optimistic.py",
+    ) == []
+    assert grep(r"\bUNKNOWN\b", "src/repro/oodb") == []
+
+
 def test_one_exact_judge():
     # only the judge runs the conventional baseline; the crash oracle runs
     # no analysis of its own

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import threading
 from contextlib import redirect_stdout
 
 import pytest
@@ -13,6 +14,21 @@ def run_cli(*argv):
     with redirect_stdout(buffer):
         code = main(list(argv))
     return code, buffer.getvalue()
+
+
+def run_timed_out(*argv):
+    """``run_cli`` for a command whose ``--timeout`` expires.
+
+    The command abandons its worker, as ``timeout(1)`` would, where a
+    process would then exit.  Wait for the worker here, so that what it
+    prints cannot land in the captured output of a later test.
+    """
+    before = set(threading.enumerate())
+    code, _ = run_cli(*argv)
+    with redirect_stdout(io.StringIO()):
+        for worker in set(threading.enumerate()) - before:
+            worker.join()
+    return code
 
 
 def test_compare_encyclopedia_two_protocols():
@@ -288,7 +304,7 @@ def test_certify_missing_args_exits_2(capsys):
 
 
 def test_certify_timeout_exits_124(capsys):
-    code, _ = run_cli(
+    code = run_timed_out(
         "certify", "--seed", "0", "--protocol", "page-2pl", "--timeout",
         "0.01",
     )
@@ -371,7 +387,9 @@ def test_load_against_unreachable_server_exits_2(capsys):
 
 
 def test_fuzz_timeout_flag_exits_124(capsys):
-    code, _ = run_cli("fuzz", "--smoke", "--seeds", "4", "--timeout", "0.01")
+    code = run_timed_out(
+        "fuzz", "--smoke", "--seeds", "4", "--timeout", "0.01"
+    )
     assert code == 124
     assert "timed out after" in capsys.readouterr().err
 
