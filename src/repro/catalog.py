@@ -38,7 +38,7 @@ and inverse plans call the companions of their callees.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.actions import Invocation

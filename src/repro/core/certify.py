@@ -258,9 +258,9 @@ class OnlineCertifier:
         self.epochs = 0
         self.escalated_epochs = 0
         self._engine: IncrementalDependencyEngine | None = None
-        #: the epoch's (txn, extras, stragglers scanned) in fed order: the
-        #: escalation catch-up replay and what :meth:`retract` rebuilds from
-        self._log: list[tuple[OOTransaction, tuple[ActionNode, ...], int]] = []
+        #: the epoch's (txn, extras) in fed order: the escalation catch-up
+        #: replay and what :meth:`retract` rebuilds from
+        self._log: list[tuple[OOTransaction, tuple[ActionNode, ...]]] = []
         #: the :data:`_COUNTERS` as the current epoch found them
         self._epoch_base: list = []
         self._timelines: dict[ObjectId, _Timeline] = {}
@@ -333,31 +333,22 @@ class OnlineCertifier:
     def retract(self, txn: OOTransaction) -> bool:
         """Take back a tree fed in the current epoch, as if never fed.
 
-        False (and nothing changes) when ``txn`` is not held.  On the fast
-        path this costs the one tree: its timeline entries, log entry and
-        TOP membership go, and the counters drop its share.  An escalated
-        epoch is refed from the log without it, from the fast path, so
-        ``violated`` and every counter read as if it had never been fed
-        (metrics count work done, the refeed's included).  The splits of
-        the held trees stay, and a later tree joins them; the splits of
-        ``txn``'s own offenders end (:meth:`TransactionSystem.retract`).
+        False (and nothing changes) when ``txn`` is not held.  The counters
+        wind back to the epoch's start and the epoch is refed from the log
+        without ``txn``, from the fast path, so ``violated`` and every
+        counter read as if it had never been fed (metrics count work done,
+        the refeed's included).  The splits of the held trees stay, and a
+        later tree joins them; the splits of ``txn``'s own offenders end
+        (:meth:`TransactionSystem.retract`).
         """
         log = self._log
-        for index, (fed, _, scanned) in enumerate(log):
+        for index, (fed, _) in enumerate(log):
             if fed is txn:
                 break
         else:
             return False
         del log[index]
         dropped = self.system.retract(txn)
-        if self._engine is None and log and not dropped:
-            self.committed -= 1
-            self.fast_commits -= 1
-            self.stragglers_scanned -= scanned
-            self.actions -= self._unthread(txn)
-            if self._m_live is not None:
-                self._m_live.value -= 1
-            return True
         gone = {id(action) for action in (*txn.actions(), *dropped)}
         for name, value in zip(_COUNTERS, self._epoch_base):
             setattr(self, name, value)
@@ -367,7 +358,7 @@ class OnlineCertifier:
         self.violated = False
         if self._m_live is not None:
             self._m_live.value = 0
-        for fed, extras, _ in log:
+        for fed, extras in log:
             self._admit(fed)
             self.committed += 1
             self._feed(fed, tuple(d for d in extras if id(d) not in gone))
@@ -426,7 +417,7 @@ class OnlineCertifier:
             extend=not self.pre_extended,
         )
         self._engine = engine
-        for txn, extras, _ in self._log:
+        for txn, extras in self._log:
             if engine.violated:
                 break
             # Logged trees are already re-stamped and extended; hand the
@@ -477,28 +468,23 @@ class OnlineCertifier:
 
     def _feed(self, txn: OOTransaction, extras: tuple) -> bool:
         """Certify an admitted, re-stamped, extended tree; log it."""
+        self._log.append((txn, extras))
         engine = self._engine
-        if engine is not None:
-            self._log.append((txn, extras, 0))
-            self.escalated_commits += 1
-            if self._m_exact is not None:
-                self._m_exact.value += 1
-            if not engine.violated:
-                engine.append_transaction(txn, extras=extras)
+        if engine is None:
+            # Virtual duplicates break the fast path's premise that every
+            # same-tree pair is program-ordered (duplicates are appended to
+            # their peer's children without precedence edges) — exact
+            # territory.
+            reason = ESCALATE_EXTENSION if extras else self._screen(txn)
+            if reason is None:
+                self.fast_commits += 1
+                if self._m_fast is not None:
+                    self._m_fast.value += 1
+                return True
+            self.escalate(reason)
+        elif not engine.violated:
+            engine.append_transaction(txn, extras=extras)
             self.violated = engine.violated
-            return not self.violated
-        scanned = self.stragglers_scanned
-        # Virtual duplicates break the fast path's premise that every
-        # same-tree pair is program-ordered (duplicates are appended to
-        # their peer's children without precedence edges) — exact territory.
-        reason = ESCALATE_EXTENSION if extras else self._screen(txn)
-        self._log.append((txn, extras, self.stragglers_scanned - scanned))
-        if reason is None:
-            self.fast_commits += 1
-            if self._m_fast is not None:
-                self._m_fast.value += 1
-            return True
-        self.escalate(reason)
         self.escalated_commits += 1
         if self._m_exact is not None:
             self._m_exact.value += 1
@@ -578,24 +564,6 @@ class OnlineCertifier:
                 seqs.insert(idx, action.seq)
                 certified.insert(idx, action)
         return None
-
-    def _unthread(self, txn: OOTransaction) -> int:
-        """Take a fast-path tree off its timelines; count what it held (an
-        action it gained after it was fed, a compensation, never was)."""
-        removed = 0
-        for action in txn.actions():
-            timeline = self._timelines.get(action.obj)
-            if timeline is None or action.virtual:
-                continue
-            seqs, held = timeline.seqs, timeline.actions
-            i = bisect_left(seqs, action.seq)
-            while i < len(seqs) and seqs[i] == action.seq:
-                if held[i] is action:
-                    del seqs[i], held[i]
-                    removed += 1
-                    break
-                i += 1
-        return removed
 
     # -- the exact path -------------------------------------------------------
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
-from repro.core.actions import ActionNode, Invocation
+from repro.core.actions import Invocation
 from repro.core.commutativity import CommutativityRegistry, ReadWriteCommutativity
 from repro.core.transactions import TransactionSystem
 from repro.errors import (
@@ -49,7 +49,6 @@ from repro.obs.events import (
 from repro.oodb.log import (
     DELETED,
     CompensationRecord,
-    FrameLog,
     PageAllocationRecord,
     UndoRecord,
 )

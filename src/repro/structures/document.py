@@ -11,7 +11,7 @@ transaction.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from repro.core.actions import Invocation
 from repro.core.commutativity import CommutativitySpec, MatrixCommutativity

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.oodb.database import ObjectDatabase
 from repro.runtime.program import TransactionProgram
-from repro.structures.bptree import build_bptree, page_capacity_for
+from repro.structures.bptree import build_bptree
 from repro.workloads.keys import ZipfSampler, key_name
 
 
